@@ -85,12 +85,13 @@ let micro_tests (h : Experiments.Harness.t) =
            ignore
              (Exec.Executor.run ~db ~graph ~config:Exec.Engine_config.robust
                 ~size_est:(Cardest.True_card.card truth) plan)));
-    Bechamel.Test.make ~name:"figure-6: hash-join table build (64k inserts)"
+    Bechamel.Test.make ~name:"figure-6: hash-join table build (64k appends + seal)"
       (stage (fun () ->
            let jt = Exec.Join_table.create ~estimated_rows:65536.0 ~resizable:true () in
            for i = 0 to 65535 do
-             ignore (Exec.Join_table.insert jt ~hash:(Exec.Join_table.mix i) ~payload:i)
-           done));
+             Exec.Join_table.append jt ~hash:(Exec.Join_table.mix i) ~payload:i
+           done;
+           ignore (Exec.Join_table.seal jt)));
     Bechamel.Test.make ~name:"figure-7: index lookups (10k probes)"
       (stage
          (let idx =
@@ -155,15 +156,14 @@ let run_micro h =
     (micro_tests h)
 
 (* ------------------------------------------------------------------ *)
-(* Kernel microbenchmarks: the two allocation-sensitive hot paths,
-   before/after-visible. The executor kernel executes full plans with
-   the scan predicate path toggled between the legacy row-at-a-time
-   closures ([Exec.Executor.reference_scan]) and the vectorized
-   selection vectors; the true-card kernel groups a fact table's rows
-   with the legacy boxed representation (a polymorphic Hashtbl over
-   fresh int-array keys, what True_card used before Group_table) versus
-   Group_table's packed scratch keys. Both report wall clock and
-   GC-allocated bytes per run, written to BENCH_exec.json.              *)
+(* Kernel microbenchmarks: allocation-sensitive hot paths,
+   before/after-visible. The sort-side kernel compares the merge join's
+   legacy boxed pair sort with its packed key array; the true-card
+   kernel groups a fact table's rows with the legacy boxed
+   representation (a polymorphic Hashtbl over fresh int-array keys,
+   what True_card used before Group_table) versus Group_table's packed
+   scratch keys. Both report wall clock and GC-allocated bytes per run,
+   written to BENCH_exec.json.                                           *)
 
 let time_alloc ~runs f =
   f (); (* warm-up: populate caches and size the scratch pools *)
@@ -186,50 +186,8 @@ type kernel_row = {
   reference_alloc : float;
   new_ms : float;
   new_alloc : float;
-  work_units : int;  (* deterministic work, identical on both paths *)
+  work_units : int;  (* rows processed, identical on both sides *)
 }
-
-let bench_exec_kernel (h : Experiments.Harness.t) =
-  let engine = Exec.Engine_config.robust in
-  let prepared =
-    List.map
-      (fun name ->
-        let q = Experiments.Harness.find h name in
-        let est = Experiments.Harness.estimator h q "true" in
-        let plan, _ =
-          Experiments.Harness.plan_with h q ~est ~model:Cost.Cost_model.cmm ()
-        in
-        (q, plan, est))
-      [ "1a"; "3a"; "6a"; "16d"; "17b" ]
-  in
-  let work = ref 0 in
-  let run_all () =
-    work := 0;
-    List.iter
-      (fun (q, plan, est) ->
-        let r =
-          Experiments.Harness.execute h q ~plan
-            ~size_est:est.Cardest.Estimator.subset ~engine
-        in
-        work := !work + r.Exec.Executor.work)
-      prepared
-  in
-  let measure flag =
-    Atomic.set Exec.Executor.reference_scan flag;
-    Fun.protect
-      ~finally:(fun () -> Atomic.set Exec.Executor.reference_scan false)
-      (fun () -> time_alloc ~runs:10 run_all)
-  in
-  let reference_ms, reference_alloc = measure true in
-  let new_ms, new_alloc = measure false in
-  {
-    kernel = "executor scan path (5 queries, robust engine)";
-    reference_ms;
-    reference_alloc;
-    new_ms;
-    new_alloc;
-    work_units = !work;
-  }
 
 (* The merge-join sort side, before vs after: the seed built a boxed
    (hash, row) pair list per side — an option per key, a cons and a
@@ -1240,7 +1198,7 @@ let () =
       write_reopt_json ~path:"BENCH_reopt.json" ~scale:!scale ~seed:!seed
         ~threshold:(Atomic.get Experiments.Exp_reopt.threshold) summaries);
   write_exec_json ~path:"BENCH_exec.json" ~scale:!scale ~seed:!seed
-    [ bench_exec_kernel h; bench_sortside_kernel h; bench_truecard_kernel h ];
+    [ bench_sortside_kernel h; bench_truecard_kernel h ];
   if not !skip_micro then run_micro h;
   Printf.printf "\ntotal: %.1fs\n" (Unix.gettimeofday () -. t0);
   (* The determinism guard: any -j 1 vs -j N divergence fails the run

@@ -67,7 +67,7 @@ let parse_engine s = Core.Registry.(find_exn engines) s
 let exec_jobs_arg =
   let doc =
     "Worker domains for morsel-driven intra-query parallelism (1 = \
-     serial executor; 0 = the number of cores). Results are \
+     the calling domain only; 0 = the number of cores). Results are \
      byte-identical at any value — only wall clock changes."
   in
   Arg.(value & opt int 1 & info [ "exec-jobs" ] ~docv:"N" ~doc)

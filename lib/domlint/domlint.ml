@@ -87,8 +87,12 @@ let scan ?(allow = []) paths =
       { Violation.checks; violations } )
   in
   let r1 = per_rule "R1-toplevel-mutable-state" (Rules.check_r1 ~allow ~mutable_fields) in
-  let r2 = per_rule "R2-lazy" (Rules.check_r2 ~allow) in
-  let r3 = per_rule "R3-global-random" (Rules.check_r3 ~allow) in
+  let owned name spec = per_rule name (Rules.check_owned ~allow spec) in
+  let confined name spec =
+    per_rule name (Rules.check_confined ~allow ~mutable_fields spec)
+  in
+  let r2 = owned "R2-lazy" Rules.r2 in
+  let r3 = owned "R3-global-random" Rules.r3 in
   let graph = Lock_graph.build files in
   let r4_result = Lock_graph.check graph in
   let r4 =
@@ -100,10 +104,10 @@ let scan ?(allow = []) paths =
       },
       r4_result )
   in
-  let r5 = per_rule "R5-domain-spawn" (Rules.check_r5 ~allow) in
-  let r6 = per_rule "R6-scheduler-state" (Rules.check_r6 ~allow) in
-  let r7 = per_rule "R7-serving-state" (Rules.check_r7 ~allow ~mutable_fields) in
-  let r8 = per_rule "R8-observability-state" (Rules.check_r8 ~allow ~mutable_fields) in
+  let r5 = owned "R5-domain-spawn" Rules.r5 in
+  let r6 = owned "R6-scheduler-state" Rules.r6 in
+  let r7 = confined "R7-serving-state" Rules.r7 in
+  let r8 = confined "R8-observability-state" Rules.r8 in
   let hygiene = per_rule "annotation" (fun f -> Rules.check_annotations f) in
   (* Allowlist entries that matched nothing are stale: report them so
      the committed list can only shrink as the tree gets cleaned. *)

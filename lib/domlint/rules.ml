@@ -191,13 +191,42 @@ let mutable_constructors =
     ("Weak", [ "create" ]);
   ]
 
+let constructs_mutable md fn =
+  List.exists
+    (fun (m, fns) -> String.equal m md && List.mem fn fns)
+    mutable_constructors
+
 let is_function_body (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
   | _ -> false
 
+(* Call [scan_binding ~bind_line ~symbol rhs] on every named toplevel
+   binding that is not a function — the state evaluated once at module
+   initialization and shared by every domain — and return how many.
+   [let () = ...] and [let _ = ...] are skipped: nothing they create can
+   be named from outside. *)
+let iter_state_bindings (file : Source.t) scan_binding =
+  List.fold_left
+    (fun n (vb : Parsetree.value_binding) ->
+      match binding_name vb with
+      | Some symbol when not (is_function_body vb.pvb_expr) ->
+          scan_binding ~bind_line:(Source.line_of vb.pvb_loc) ~symbol
+            vb.pvb_expr;
+          n + 1
+      | _ -> n)
+    0
+    (toplevel_bindings file.Source.ast)
+
+(* Visit [e]'s immediate children with [walk], reusing the iterator's
+   knowledge of the grammar so new syntax can't be skipped. *)
+let descend walk e =
+  let it =
+    { Ast_iterator.default_iterator with expr = (fun _ child -> walk child) }
+  in
+  Ast_iterator.default_iterator.expr it e
+
 let check_r1 ~allow ~mutable_fields (file : Source.t) =
-  let checks = ref 0 in
   let findings = ref [] in
   let add ~line ~bind_line ~symbol msg =
     findings := { line; bind_line; symbol; msg } :: !findings
@@ -220,10 +249,7 @@ let check_r1 ~allow ~mutable_fields (file : Source.t) =
           match split_qualified txt with
           | Some (md, _) when List.mem md safe_wrapper_modules ->
               () (* wrapped: presumed intentional and guarded *)
-          | Some (md, fn)
-            when List.exists
-                   (fun (m, fns) -> String.equal m md && List.mem fn fns)
-                   mutable_constructors ->
+          | Some (md, fn) when constructs_mutable md fn ->
               add ~line ~bind_line ~symbol
                 (Printf.sprintf
                    "toplevel binding '%s' creates a bare %s.%s: wrap it in \
@@ -253,41 +279,93 @@ let check_r1 ~allow ~mutable_fields (file : Source.t) =
               walk value)
             fields;
           Option.iter walk base
-      | _ -> default e
-    and default e =
-      (* Generic descent into immediate children, reusing the iterator's
-         knowledge of the grammar so new syntax can't be skipped. *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ child -> walk child);
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
+      | _ -> descend walk e
     in
     walk rhs
   in
-  List.iter
-    (fun (vb : Parsetree.value_binding) ->
-      match binding_name vb with
-      | None -> () (* let () / let _: results cannot escape by name *)
-      | Some symbol ->
-          if not (is_function_body vb.pvb_expr) then begin
-            incr checks;
-            scan_binding ~bind_line:(Source.line_of vb.pvb_loc) ~symbol
-              vb.pvb_expr
-          end)
-    (toplevel_bindings file.Source.ast);
-  resolve ~allow ~file ~rule:"R1" ~pass:r1_pass ~checks:(max 1 !checks)
+  let checks = iter_state_bindings file scan_binding in
+  resolve ~allow ~file ~rule:"R1" ~pass:r1_pass ~checks:(max 1 checks)
     (List.rev !findings)
 
 (* ------------------------------------------------------------------ *)
-(* R2/R3/R5: forbidden constructs outside their owner module            *)
+(* R2/R3/R5/R6: identifiers forbidden outside their owner modules       *)
 
-let r2_pass = "domlint/R2-lazy"
-let r3_pass = "domlint/R3-global-random"
-let r5_pass = "domlint/R5-domain-spawn"
-let r6_pass = "domlint/R6-scheduler-state"
+type forbidden_ident =
+  | Module of string  (** the module itself, or anything reached through it *)
+  | Value of string * string  (** [M.v], under any library prefix *)
+
+type owned_ident = {
+  rule : string;
+  pass : string;
+  owners : string list;  (** path suffixes of the files that may use it *)
+  ident : forbidden_ident;
+  message : string;
+  extra : Parsetree.expression -> string option;
+      (** a construct flagged besides the identifier, with its message *)
+}
+
+let no_extra _ = None
+
+let r2 =
+  {
+    rule = "R2";
+    pass = "domlint/R2-lazy";
+    owners = [ "lib/util/once.ml" ];
+    ident = Module "Lazy";
+    message = "Lazy.* use outside lib/util/once.ml: use Util.Once instead";
+    extra =
+      (fun e ->
+        match e.pexp_desc with
+        | Pexp_lazy _ ->
+            Some
+              "lazy expression: Lazy is domain-unsafe under OCaml 5 \
+               (concurrent forcing raises Undefined); use Util.Once"
+        | _ -> None);
+  }
+
+let r3 =
+  {
+    rule = "R3";
+    pass = "domlint/R3-global-random";
+    owners = [ "lib/util/prng.ml" ];
+    ident = Module "Random";
+    message =
+      "global Random.* outside lib/util/prng.ml: shared PRNG state breaks \
+       deterministic -j N replay; thread a Util.Prng.t";
+    extra = no_extra;
+  }
+
+let r5 =
+  {
+    rule = "R5";
+    pass = "domlint/R5-domain-spawn";
+    owners = [ "lib/util/domain_pool.ml" ];
+    ident = Value ("Domain", "spawn");
+    message =
+      "Domain.spawn outside lib/util/domain_pool.ml: domains are a bounded \
+       resource; go through Util.Domain_pool";
+    extra = no_extra;
+  }
+
+let r6 =
+  {
+    rule = "R6";
+    pass = "domlint/R6-scheduler-state";
+    owners = [ "lib/util/domain_pool.ml"; "lib/exec/morsel.ml" ];
+    ident = Value ("Atomic", "fetch_and_add");
+    message =
+      "Atomic.fetch_and_add outside lib/util/domain_pool.ml and \
+       lib/exec/morsel.ml: shared scheduler state belongs to the pool or the \
+       morsel scheduler; a telemetry counter needs an allowlist entry saying \
+       why it is not work distribution";
+    extra = no_extra;
+  }
+
+let forbids ident lid =
+  match (ident, List.rev (flatten lid)) with
+  | Module m, _ -> mentions_module lid m || flatten lid = [ m ]
+  | Value (m, v), v' :: m' :: _ -> String.equal v v' && String.equal m m'
+  | Value _, _ -> false
 
 let exempt file suffixes =
   List.exists
@@ -316,111 +394,24 @@ let iter_idents (file : Source.t) ~on_expr ~on_lid =
   in
   it.structure it file.Source.ast
 
-let check_r2 ~allow (file : Source.t) =
-  if exempt file [ "lib/util/once.ml" ] then
-    { checks = 1; kept = []; suppressed = 0 }
+let check_owned ~allow spec (file : Source.t) =
+  if exempt file spec.owners then { checks = 1; kept = []; suppressed = 0 }
   else begin
     let findings = ref [] in
-    let add line msg = findings := { line; bind_line = line; symbol = ""; msg } :: !findings in
+    let add (loc : Location.t) msg =
+      let line = Source.line_of loc in
+      findings := { line; bind_line = line; symbol = ""; msg } :: !findings
+    in
     iter_idents file
-      ~on_expr:(fun e ->
-        match e.pexp_desc with
-        | Pexp_lazy _ ->
-            add (Source.line_of e.pexp_loc)
-              "lazy expression: Lazy is domain-unsafe under OCaml 5 \
-               (concurrent forcing raises Undefined); use Util.Once"
-        | _ -> ())
-      ~on_lid:(fun loc lid ->
-        if mentions_module lid "Lazy" then
-          add (Source.line_of loc)
-            "Lazy.* use outside lib/util/once.ml: use Util.Once instead");
-    resolve ~allow ~file ~rule:"R2" ~pass:r2_pass
-      ~checks:(1 + List.length !findings)
-      (List.rev !findings)
-  end
-
-let check_r3 ~allow (file : Source.t) =
-  if exempt file [ "lib/util/prng.ml" ] then
-    { checks = 1; kept = []; suppressed = 0 }
-  else begin
-    let findings = ref [] in
-    iter_idents file
-      ~on_expr:(fun _ -> ())
-      ~on_lid:(fun loc lid ->
-        if mentions_module lid "Random" || flatten lid = [ "Random" ] then
-          findings :=
-            {
-              line = Source.line_of loc;
-              bind_line = Source.line_of loc;
-              symbol = "";
-              msg =
-                "global Random.* outside lib/util/prng.ml: shared PRNG state \
-                 breaks deterministic -j N replay; thread a Util.Prng.t";
-            }
-            :: !findings);
-    resolve ~allow ~file ~rule:"R3" ~pass:r3_pass
-      ~checks:(1 + List.length !findings)
-      (List.rev !findings)
-  end
-
-let check_r5 ~allow (file : Source.t) =
-  if exempt file [ "lib/util/domain_pool.ml" ] then
-    { checks = 1; kept = []; suppressed = 0 }
-  else begin
-    let findings = ref [] in
-    iter_idents file
-      ~on_expr:(fun _ -> ())
-      ~on_lid:(fun loc lid ->
-        match List.rev (flatten lid) with
-        | "spawn" :: "Domain" :: _ ->
-            findings :=
-              {
-                line = Source.line_of loc;
-                bind_line = Source.line_of loc;
-                symbol = "";
-                msg =
-                  "Domain.spawn outside lib/util/domain_pool.ml: domains are \
-                   a bounded resource; go through Util.Domain_pool";
-              }
-              :: !findings
-        | _ -> ());
-    resolve ~allow ~file ~rule:"R5" ~pass:r5_pass
-      ~checks:(1 + List.length !findings)
-      (List.rev !findings)
-  end
-
-let check_r6 ~allow (file : Source.t) =
-  if exempt file [ "lib/util/domain_pool.ml"; "lib/exec/morsel.ml" ] then
-    { checks = 1; kept = []; suppressed = 0 }
-  else begin
-    let findings = ref [] in
-    iter_idents file
-      ~on_expr:(fun _ -> ())
-      ~on_lid:(fun loc lid ->
-        match List.rev (flatten lid) with
-        | "fetch_and_add" :: "Atomic" :: _ ->
-            findings :=
-              {
-                line = Source.line_of loc;
-                bind_line = Source.line_of loc;
-                symbol = "";
-                msg =
-                  "Atomic.fetch_and_add outside lib/util/domain_pool.ml and \
-                   lib/exec/morsel.ml: shared scheduler state belongs to the \
-                   pool or the morsel scheduler; a telemetry counter needs an \
-                   allowlist entry saying why it is not work distribution";
-              }
-              :: !findings
-        | _ -> ());
-    resolve ~allow ~file ~rule:"R6" ~pass:r6_pass
+      ~on_expr:(fun e -> Option.iter (add e.pexp_loc) (spec.extra e))
+      ~on_lid:(fun loc lid -> if forbids spec.ident lid then add loc spec.message);
+    resolve ~allow ~file ~rule:spec.rule ~pass:spec.pass
       ~checks:(1 + List.length !findings)
       (List.rev !findings)
   end
 
 (* ------------------------------------------------------------------ *)
-(* R7: serving-state confinement                                       *)
-
-let r7_pass = "domlint/R7-serving-state"
+(* R7/R8: vocabulary-named state confined to an owner layer            *)
 
 (* Session/connection bookkeeping vocabulary. A toplevel binding with
    one of these in its name that creates state — even individually
@@ -430,6 +421,22 @@ let r7_pass = "domlint/R7-serving-state"
 let r7_vocab =
   [ "session"; "conn"; "admission"; "inflight"; "in_flight"; "lru" ]
 
+(* Telemetry vocabulary. "histogram" is deliberately absent — it names
+   a statistics-domain concept (lib/dbstats/histogram.ml), not just
+   telemetry plumbing. *)
+let r8_vocab = [ "metric"; "span"; "trace"; "telemetry" ]
+
+type confinement = {
+  c_rule : string;
+  c_pass : string;
+  vocab : string list;
+  owner : Source.t -> bool;  (** the owning layer's files, exempt *)
+  sanctioned : Longident.t -> bool;
+      (** right-hand sides that may create named state anywhere *)
+  state_name : string;  (** what the messages call the state *)
+  hint : string;
+}
+
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec at i =
@@ -437,57 +444,80 @@ let contains_sub s sub =
   in
   m > 0 && at 0
 
-let r7_serving_name s =
+let speaks vocab s =
   let s = String.lowercase_ascii s in
-  List.exists (contains_sub s) r7_vocab
+  List.exists (contains_sub s) vocab
 
-(* The owning layer. [Suppress.path_matches] is suffix-only, so the
-   lib/serve/ directory needs a substring containment check. *)
-let r7_confined (file : Source.t) =
-  contains_sub file.Source.rel "lib/serve/"
-  || Suppress.path_matches ~pattern:"lib/exec/join_cache.ml" file.Source.rel
-
-let check_r7 ~allow ~mutable_fields (file : Source.t) =
-  if r7_confined file then { checks = 1; kept = []; suppressed = 0 }
-  else begin
-    let checks = ref 0 in
-    let findings = ref [] in
-    let add ~line ~bind_line ~symbol msg =
-      findings := { line; bind_line; symbol; msg } :: !findings
-    in
-    let hint =
+(* Owner layers are directories, and [Suppress.path_matches] is
+   suffix-only, so directories need a substring containment check. *)
+let r7 =
+  {
+    c_rule = "R7";
+    c_pass = "domlint/R7-serving-state";
+    vocab = r7_vocab;
+    owner =
+      (fun file ->
+        contains_sub file.Source.rel "lib/serve/"
+        || Suppress.path_matches ~pattern:"lib/exec/join_cache.ml"
+             file.Source.rel);
+    sanctioned = (fun _ -> false);
+    state_name = "serving state";
+    hint =
       "serving-session bookkeeping is confined to lib/serve/ (and the \
-       join-build recycling cache in lib/exec/join_cache.ml)"
-    in
+       join-build recycling cache in lib/exec/join_cache.ml)";
+  }
+
+(* A right-hand side that goes through the obs API
+   ([Obs.Metrics.counter], [Obs.Trace.intern], ...) is sanctioned: the
+   state such a binding names lives inside lib/obs's registry, which
+   is exactly the confinement the rule enforces. *)
+let r8 =
+  {
+    c_rule = "R8";
+    c_pass = "domlint/R8-observability-state";
+    vocab = r8_vocab;
+    owner = (fun file -> contains_sub file.Source.rel "lib/obs/");
+    sanctioned =
+      (fun txt -> List.exists (mentions_module txt) [ "Obs"; "Metrics"; "Trace" ]);
+    state_name = "observability state";
+    hint =
+      "observability state (span buffers, metric cells) is confined to \
+       lib/obs/; register cells through Obs.Metrics / Obs.Trace instead";
+  }
+
+(* Any state-creating call, wrapped or bare: confinement is about who
+   owns the state, not whether it is synchronized. *)
+let creates_state txt =
+  match split_qualified txt with
+  | Some (md, fn) ->
+      List.mem md safe_wrapper_modules || constructs_mutable md fn
+  | None -> flatten txt = [ "ref" ]
+
+let check_confined ~allow ~mutable_fields spec (file : Source.t) =
+  if spec.owner file then { checks = 1; kept = []; suppressed = 0 }
+  else begin
+    let findings = ref [] in
     let scan_binding ~bind_line ~symbol (rhs : Parsetree.expression) =
-      let named = r7_serving_name symbol in
+      let named = speaks spec.vocab symbol in
       (* Same traversal discipline as R1: skip function bodies (per-call
          state is local), flag state created once at module init. *)
       let rec walk (e : Parsetree.expression) =
-        let line = Source.line_of e.pexp_loc in
+        let flag verb what =
+          let msg =
+            Printf.sprintf "toplevel binding '%s' %s %s (%s): %s" symbol verb
+              spec.state_name what spec.hint
+          in
+          findings :=
+            { line = Source.line_of e.pexp_loc; bind_line; symbol; msg }
+            :: !findings
+        in
         match e.pexp_desc with
         | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> ()
-        | Pexp_array _ when named ->
-            add ~line ~bind_line ~symbol
-              (Printf.sprintf
-                 "toplevel binding '%s' holds serving state (bare array): %s"
-                 symbol hint)
+        | Pexp_array _ when named -> flag "holds" "bare array"
         | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-            let stateful =
-              match split_qualified txt with
-              | Some (md, fn) ->
-                  List.mem md safe_wrapper_modules
-                  || List.exists
-                       (fun (m, fns) -> String.equal m md && List.mem fn fns)
-                       mutable_constructors
-              | None -> flatten txt = [ "ref" ]
-            in
-            if named && stateful then
-              add ~line ~bind_line ~symbol
-                (Printf.sprintf
-                   "toplevel binding '%s' holds serving state (%s): %s" symbol
-                   (String.concat "." (flatten txt))
-                   hint)
+            if spec.sanctioned txt then ()
+            else if named && creates_state txt then
+              flag "holds" (String.concat "." (flatten txt))
             else List.iter (fun (_, a) -> walk a) args
         | Pexp_record (fields, base) ->
             List.iter
@@ -495,154 +525,19 @@ let check_r7 ~allow ~mutable_fields (file : Source.t) =
                 (match List.rev (flatten txt) with
                 | fname :: _
                   when Hashtbl.mem mutable_fields fname
-                       && (named || r7_serving_name fname) ->
-                    add ~line ~bind_line ~symbol
-                      (Printf.sprintf
-                         "toplevel binding '%s' builds serving state (mutable \
-                          field '%s'): %s"
-                         symbol fname hint)
+                       && (named || speaks spec.vocab fname) ->
+                    flag "builds" (Printf.sprintf "mutable field '%s'" fname)
                 | _ -> ());
                 walk value)
               fields;
             Option.iter walk base
-        | _ ->
-            let it =
-              {
-                Ast_iterator.default_iterator with
-                expr = (fun _ child -> walk child);
-              }
-            in
-            Ast_iterator.default_iterator.expr it e
+        | _ -> descend walk e
       in
       walk rhs
     in
-    List.iter
-      (fun (vb : Parsetree.value_binding) ->
-        match binding_name vb with
-        | None -> ()
-        | Some symbol ->
-            if not (is_function_body vb.pvb_expr) then begin
-              incr checks;
-              scan_binding ~bind_line:(Source.line_of vb.pvb_loc) ~symbol
-                vb.pvb_expr
-            end)
-      (toplevel_bindings file.Source.ast);
-    resolve ~allow ~file ~rule:"R7" ~pass:r7_pass ~checks:(max 1 !checks)
-      (List.rev !findings)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* R8: observability-state confinement                                 *)
-
-let r8_pass = "domlint/R8-observability-state"
-
-(* Telemetry vocabulary. "histogram" is deliberately absent — it names
-   a statistics-domain concept (lib/dbstats/histogram.ml), not just
-   telemetry plumbing. *)
-let r8_vocab = [ "metric"; "span"; "trace"; "telemetry" ]
-
-let r8_obs_name s =
-  let s = String.lowercase_ascii s in
-  List.exists (contains_sub s) r8_vocab
-
-(* The owning layer: span buffers and metric cells live in lib/obs/. *)
-let r8_confined (file : Source.t) = contains_sub file.Source.rel "lib/obs/"
-
-(* A right-hand side that goes through the obs API
-   ([Obs.Metrics.counter], [Obs.Trace.intern], ...) is sanctioned: the
-   state such a binding names lives inside lib/obs's registry, which
-   is exactly the confinement the rule enforces. *)
-let r8_sanctioned txt =
-  List.exists (mentions_module txt) [ "Obs"; "Metrics"; "Trace" ]
-
-let check_r8 ~allow ~mutable_fields (file : Source.t) =
-  if r8_confined file then { checks = 1; kept = []; suppressed = 0 }
-  else begin
-    let checks = ref 0 in
-    let findings = ref [] in
-    let add ~line ~bind_line ~symbol msg =
-      findings := { line; bind_line; symbol; msg } :: !findings
-    in
-    let hint =
-      "observability state (span buffers, metric cells) is confined to \
-       lib/obs/; register cells through Obs.Metrics / Obs.Trace instead"
-    in
-    let scan_binding ~bind_line ~symbol (rhs : Parsetree.expression) =
-      let named = r8_obs_name symbol in
-      (* Same traversal discipline as R1/R7: skip function bodies
-         (per-call state is local), flag state created at module
-         init. *)
-      let rec walk (e : Parsetree.expression) =
-        let line = Source.line_of e.pexp_loc in
-        match e.pexp_desc with
-        | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> ()
-        | Pexp_array _ when named ->
-            add ~line ~bind_line ~symbol
-              (Printf.sprintf
-                 "toplevel binding '%s' holds observability state (bare \
-                  array): %s"
-                 symbol hint)
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-            if r8_sanctioned txt then ()
-            else begin
-              let stateful =
-                match split_qualified txt with
-                | Some (md, fn) ->
-                    List.mem md safe_wrapper_modules
-                    || List.exists
-                         (fun (m, fns) -> String.equal m md && List.mem fn fns)
-                         mutable_constructors
-                | None -> flatten txt = [ "ref" ]
-              in
-              if named && stateful then
-                add ~line ~bind_line ~symbol
-                  (Printf.sprintf
-                     "toplevel binding '%s' holds observability state (%s): %s"
-                     symbol
-                     (String.concat "." (flatten txt))
-                     hint)
-              else List.iter (fun (_, a) -> walk a) args
-            end
-        | Pexp_record (fields, base) ->
-            List.iter
-              (fun (({ txt; _ } : Longident.t Location.loc), value) ->
-                (match List.rev (flatten txt) with
-                | fname :: _
-                  when Hashtbl.mem mutable_fields fname
-                       && (named || r8_obs_name fname) ->
-                    add ~line ~bind_line ~symbol
-                      (Printf.sprintf
-                         "toplevel binding '%s' builds observability state \
-                          (mutable field '%s'): %s"
-                         symbol fname hint)
-                | _ -> ());
-                walk value)
-              fields;
-            Option.iter walk base
-        | _ ->
-            let it =
-              {
-                Ast_iterator.default_iterator with
-                expr = (fun _ child -> walk child);
-              }
-            in
-            Ast_iterator.default_iterator.expr it e
-      in
-      walk rhs
-    in
-    List.iter
-      (fun (vb : Parsetree.value_binding) ->
-        match binding_name vb with
-        | None -> ()
-        | Some symbol ->
-            if not (is_function_body vb.pvb_expr) then begin
-              incr checks;
-              scan_binding ~bind_line:(Source.line_of vb.pvb_loc) ~symbol
-                vb.pvb_expr
-            end)
-      (toplevel_bindings file.Source.ast);
-    resolve ~allow ~file ~rule:"R8" ~pass:r8_pass ~checks:(max 1 !checks)
-      (List.rev !findings)
+    let checks = iter_state_bindings file scan_binding in
+    resolve ~allow ~file ~rule:spec.c_rule ~pass:spec.c_pass
+      ~checks:(max 1 checks) (List.rev !findings)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -5,8 +5,6 @@ type t = {
   work_limit : int;
   row_limit : int;
   hash_bucket_floor : int;
-  morsel_exec : bool;
-  morsel_min_rows : int;
 }
 
 let work_units_per_ms = 1000.0
@@ -23,8 +21,6 @@ let default_9_4 =
     work_limit = default_work_limit;
     row_limit = default_row_limit;
     hash_bucket_floor = 1024;
-    morsel_exec = true;
-    morsel_min_rows = 8192;
   }
 
 let no_nl = { default_9_4 with name = "no nested-loop join"; allow_nl_join = false }

@@ -4,7 +4,11 @@
     allowed, hash tables sized once from the optimizer's cardinality
     estimate. [no_nl] disables the risky non-index nested-loop join
     (Figure 6b). [robust] additionally resizes hash tables at runtime,
-    the backported 9.5 patch (Figure 6c). *)
+    the backported 9.5 patch (Figure 6c).
+
+    Nothing here says where the executor runs its morsel phases: that
+    follows from the worker pool handed to {!Executor.run}, and it never
+    changes a result. *)
 
 type t = {
   name : string;
@@ -18,16 +22,6 @@ type t = {
   hash_bucket_floor : int;
       (** Minimum hash-join bucket count regardless of the estimate
           (PostgreSQL-style; 1024 by default). *)
-  morsel_exec : bool;
-      (** Allow morsel-driven intra-query parallelism when the executor
-          is handed a worker pool. [false] forces the serial reference
-          path even with a pool — the toggle the determinism guard
-          flips. Results are byte-identical either way; only wall clock
-          changes. On by default. *)
-  morsel_min_rows : int;
-      (** Input rows below which a phase stays serial even with a pool:
-          with 4096-row morsels anything under ~2 morsels has nothing
-          to parallelize and would only pay the hand-off. *)
 }
 
 val default_9_4 : t

@@ -11,11 +11,9 @@ type result = {
 
 exception Timeout
 
-(* Test-only escape hatch: evaluate scan predicates with the original
-   row-at-a-time closures instead of selection vectors. The cross-check
-   test runs the full workload through both paths and asserts identical
-   results; nothing in the library or the binaries sets this. *)
-let reference_scan = Atomic.make false
+(* Rows per morsel: the unit every vectorized phase is scheduled,
+   staged and budget-checked in. *)
+let chunk = 4096
 
 (* Row-major tuple store for intermediate results. *)
 type batch = {
@@ -60,17 +58,17 @@ let phase_of (p : Plan.t) =
   | Plan.Join { algo = Plan.Nl_join; _ } -> ph_nl_join
   | Plan.Join { algo = Plan.Index_nl_join; _ } -> ph_index_nl_join
 
-(* Per-slot scratch for morsel-parallel phases. A slot is owned by at
-   most one running worker at a time ({!Util.Domain_pool.run_workers}'s
+(* Per-slot scratch for morsel phases. A slot is owned by at most one
+   running worker at a time ({!Util.Domain_pool.run_workers}'s
    contract), so nothing here is locked. [wbuf] stages each claimed
    morsel's output contiguously; the caller stitches the segments back
    together in morsel-index order, which is what makes assembled batches
-   bit-for-bit the batches the serial path builds. *)
+   independent of how many slots ran the phase. *)
 type wstate = {
   wslot : int;
   mutable wbuf : int array;
   mutable wlen : int;
-  mutable wsel : int array; (* scan selection-vector scratch *)
+  wsel : int array; (* scan selection-vector scratch *)
   mutable wfill : (int array -> int -> int -> int) option;
       (* per-phase selector instance (owns mutable decode scratch) *)
   mutable wclaims : int; (* morsels claimed in the current phase *)
@@ -200,185 +198,124 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     check_rows out
   in
 
-  let chunk = 4096 in
+  (* ---------------- Morsel phases ----------------
 
-  (* ---------------- Morsel-parallel phase machinery ----------------
+     Every vectorized phase — scan, hash-build key pass, hash probe,
+     index-NL probe — carves its input rows into [chunk]-row morsels
+     handed out by an atomic cursor. With a pool of at least two domains
+     and at least two morsels of input, the pool's workers claim them;
+     otherwise the calling domain drains the cursor alone, as slot 0, in
+     morsel order. Either way each morsel stages its output in its
+     slot's buffer and [staged_phase] stitches the segments back
+     together in morsel-index order, so batches — and every downstream
+     decision — do not depend on where the phase ran.
 
-     A phase carves its input rows into [chunk]-sized morsels handed
-     out by an atomic cursor; pool workers stage each morsel's output
-     in slot-local buffers and the caller reassembles it by morsel
-     index, so batches — and therefore every downstream decision — are
-     byte-identical to the serial path at any worker count.
-
-     Accounting: [base] snapshots [!work] before the phase, workers
-     fold their per-morsel work into a shared accumulator, and each
-     flush compares [base + total] against the limit — the budget trips
-     on exactly the serial path's condition (totals are sums of
-     order-independent per-morsel contributions). Same for emitted rows
-     against [row_limit]. A worker that sees the budget blown raises
-     {!Timeout}; the pool re-raises it here, and the top-level handler
-     below turns it into the usual timeout result. *)
+     Accounting: a morsel's work and emitted rows go into shared
+     [Morsel.acc] totals through [charge], which compares the committed
+     totals against the limits after every morsel. Sums are
+     order-independent, so the budget trips on the same condition at
+     any worker count. A tripped budget raises {!Timeout} (the pool
+     re-raises a worker's), and the top-level handler below turns it
+     into the usual timeout result. *)
   let nworkers =
-    match pool with
-    | Some p when config.Engine_config.morsel_exec -> Util.Domain_pool.size p
-    | _ -> 1
-  in
-  (* The pool to use for a phase over [n] input rows, if any. *)
-  let par_pool n =
-    if nworkers > 1 && n >= config.Engine_config.morsel_min_rows then pool
-    else None
+    match pool with Some p -> Util.Domain_pool.size p | None -> 1
   in
   let workers =
-    Util.Once.make (fun () ->
-        Array.init nworkers (fun slot ->
-            {
-              wslot = slot;
-              wbuf = Array.make chunk 0;
-              wlen = 0;
-              wsel = [||];
-              wfill = None;
-              wclaims = 0;
-            }))
+    Array.init nworkers (fun slot ->
+        {
+          wslot = slot;
+          wbuf = Array.make chunk 0;
+          wlen = 0;
+          wsel = Array.make chunk 0;
+          wfill = None;
+          wclaims = 0;
+        })
   in
   let phase_work = Morsel.acc () in
   let phase_rows = Morsel.acc () in
-  let run_phase p ~morsels ~body =
+  (* [!work] is only written between phases, so workers may read it. *)
+  let charge wk rows =
+    if !work + Morsel.add phase_work wk > limit then raise Timeout;
+    if rows > 0 && Morsel.add phase_rows rows > row_limit then raise Timeout
+  in
+  (* Run [body w m lo hi] for every morsel [m] = rows [lo, hi) of an
+     [n]-row input. *)
+  let run_phase ~n body =
     Morsel.reset phase_work;
     Morsel.reset phase_rows;
-    let ws = Util.Once.force workers in
     Array.iter
       (fun w ->
         w.wlen <- 0;
         w.wfill <- None;
         w.wclaims <- 0)
-      ws;
-    let cur = Morsel.cursor morsels in
-    let outcome =
-      match
-        Util.Domain_pool.run_workers p (fun slot ->
-            let w = ws.(slot) in
-            let m = ref (Morsel.claim cur) in
-            while !m >= 0 do
-              w.wclaims <- w.wclaims + 1;
-              body w !m;
-              m := Morsel.claim cur
-            done)
-      with
-      | () -> None
-      | exception e -> Some e
+      workers;
+    let cur = Morsel.cursor ((n + chunk - 1) / chunk) in
+    let drain slot =
+      let w = workers.(slot) in
+      let m = ref (Morsel.claim cur) in
+      while !m >= 0 do
+        w.wclaims <- w.wclaims + 1;
+        let lo = !m * chunk in
+        body w !m lo (min n (lo + chunk));
+        m := Morsel.claim cur
+      done
     in
-    Morsel.note_phase (Array.map (fun w -> w.wclaims) ws);
-    (* Fold the phase's work into the serial counter even on failure,
-       so a non-timeout abort still reports what was spent. *)
-    work := !work + Morsel.total phase_work;
-    (match outcome with Some e -> raise e | None -> ());
-    if !work > limit then raise Timeout
+    (match pool with
+    | Some p when nworkers > 1 && n >= 2 * chunk ->
+        Fun.protect
+          ~finally:(fun () ->
+            Morsel.note_phase (Array.map (fun w -> w.wclaims) workers))
+          (fun () -> Util.Domain_pool.run_workers p drain)
+    | _ -> drain 0);
+    work := !work + Morsel.total phase_work
   in
-  (* Stitch per-morsel (slot, offset, count) records back into [out] in
-     morsel-index order. Counts are rows; offsets are ints. *)
-  let assemble out ~morsels ~m_src ~m_off ~m_cnt =
-    let ws = Util.Once.force workers in
+  (* A phase whose [body w lo hi] appends output tuples to [w.wbuf] and
+     returns how many it staged; they land in [out] in morsel order. *)
+  let staged_phase ~n out body =
+    let morsels = (n + chunk - 1) / chunk in
+    let m_src = Array.make morsels 0
+    and m_off = Array.make morsels 0
+    and m_cnt = Array.make morsels 0 in
+    run_phase ~n (fun w m lo hi ->
+        m_src.(m) <- w.wslot;
+        m_off.(m) <- w.wlen;
+        m_cnt.(m) <- body w lo hi);
     let width = out.width in
-    let total = ref 0 in
-    for m = 0 to morsels - 1 do
-      total := !total + m_cnt.(m)
-    done;
-    batch_reserve out !total;
+    batch_reserve out (Array.fold_left ( + ) 0 m_cnt);
     for m = 0 to morsels - 1 do
       let cnt = m_cnt.(m) in
       if cnt > 0 then begin
-        Array.blit ws.(m_src.(m)).wbuf m_off.(m) out.data (out.nrows * width)
-          (cnt * width);
+        Array.blit workers.(m_src.(m)).wbuf m_off.(m) out.data
+          (out.nrows * width) (cnt * width);
         out.nrows <- out.nrows + cnt
       end
     done
   in
 
-  (* One selection vector for the whole run: serial plan evaluation is
-     sequential, so scans never overlap. Deferred via Once, so
-     reference-path runs (and plans that are pure index nested loops)
-     skip the allocation. *)
-  let scan_sel = Util.Once.make (fun () -> Array.make chunk 0) in
+  (* Scans fill a selection vector per morsel (one compaction pass per
+     predicate atom). Each slot mints its own selector instance from a
+     shared factory (dictionary bitmaps compiled once), since an
+     instance owns mutable decode scratch. *)
   let scan rel =
     let relation = QG.relation graph rel in
     let table = relation.QG.table in
     let out = batch_create [| rel |] in
-    let n = Storage.Table.row_count table in
-    if Atomic.get reference_scan then begin
-      (* Reference path: one closure call per row. *)
-      let pred = Query.Predicate.compile table relation.QG.preds in
-      let row = ref 0 in
-      while !row < n do
-        let stop = min n (!row + chunk) in
-        spend (stop - !row);
-        for r = !row to stop - 1 do
-          if pred r then begin
-            batch_reserve out 1;
-            out.data.(out.nrows) <- r;
-            out.nrows <- out.nrows + 1
-          end
-        done;
-        row := stop
-      done
-    end
-    else begin
-      match par_pool n with
-      | Some p ->
-          (* Morsel path: workers mint their own selector instance from
-             a shared factory (dictionary bitmaps compiled once), fill
-             slot-local selection vectors, and stage survivors in their
-             buffers; assembly by morsel index reproduces the serial
-             append order exactly. *)
-          let factory =
-            Query.Predicate.selector_factory table relation.QG.preds
-          in
-          let morsels = (n + chunk - 1) / chunk in
-          let m_src = pool_acquire morsels
-          and m_off = pool_acquire morsels
-          and m_cnt = pool_acquire morsels in
-          let base = !work in
-          run_phase p ~morsels ~body:(fun w m ->
-              let fill =
-                match w.wfill with
-                | Some f -> f
-                | None ->
-                    let f = factory () in
-                    w.wfill <- Some f;
-                    if Array.length w.wsel < chunk then
-                      w.wsel <- Array.make chunk 0;
-                    f
-              in
-              let lo = m * chunk in
-              let hi = min n (lo + chunk) in
-              let cnt = fill w.wsel lo hi in
-              wbuf_reserve w cnt;
-              Array.blit w.wsel 0 w.wbuf w.wlen cnt;
-              m_src.(m) <- w.wslot;
-              m_off.(m) <- w.wlen;
-              m_cnt.(m) <- cnt;
-              w.wlen <- w.wlen + cnt;
-              let t = Morsel.add phase_work (hi - lo) in
-              if base + t > limit then raise Timeout);
-          assemble out ~morsels ~m_src ~m_off ~m_cnt;
-          pool_release m_src;
-          pool_release m_off;
-          pool_release m_cnt
-      | None ->
-          (* Vectorized path: fill a selection vector per chunk (one
-             compaction pass per predicate atom), then append it whole. *)
-          let fill = Query.Predicate.compile_selector table relation.QG.preds in
-          let sel = Util.Once.force scan_sel in
-          let row = ref 0 in
-          while !row < n do
-            let stop = min n (!row + chunk) in
-            spend (stop - !row);
-            let m = fill sel !row stop in
-            batch_reserve out m;
-            Array.blit sel 0 out.data out.nrows m;
-            out.nrows <- out.nrows + m;
-            row := stop
-          done
-    end;
+    let factory = Query.Predicate.selector_factory table relation.QG.preds in
+    staged_phase ~n:(Storage.Table.row_count table) out (fun w lo hi ->
+        let fill =
+          match w.wfill with
+          | Some f -> f
+          | None ->
+              let f = factory () in
+              w.wfill <- Some f;
+              f
+        in
+        let cnt = fill w.wsel lo hi in
+        wbuf_reserve w cnt;
+        Array.blit w.wsel 0 w.wbuf w.wlen cnt;
+        w.wlen <- w.wlen + cnt;
+        charge (hi - lo) 0;
+        cnt);
     out
   in
 
@@ -407,41 +344,25 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
               ~estimated_rows:table_size ~actual_rows:inner.nrows
               ~resizable:config.Engine_config.resize_hash_tables ()
           in
-          (* Build, two-phase: append entries (1 work unit per build row,
-             NULL keys included, matching the incremental path), then one
-             seal that links chains in canonical ascending-payload order
-             and charges the replayed resize bill. When parallel, workers
-             only compute the key hashes — disjoint writes into a shared
-             buffer — and the cheap append loop stays serial, so entry
-             order (hence payload numbering) is identical at any worker
-             count. *)
-          (match par_pool inner.nrows with
-          | Some p ->
-              let n = inner.nrows in
-              let kbuf = pool_acquire n in
-              let morsels = (n + chunk - 1) / chunk in
-              let base = !work in
-              run_phase p ~morsels ~body:(fun _w m ->
-                  let lo = m * chunk in
-                  let hi = min n (lo + chunk) in
-                  for j = lo to hi - 1 do
-                    kbuf.(j) <- tuple_key inner islots idatas j
-                  done;
-                  if charge_hash then begin
-                    let t = Morsel.add phase_work (hi - lo) in
-                    if base + t > limit then raise Timeout
-                  end);
-              for j = 0 to n - 1 do
-                let h = kbuf.(j) in
-                if h <> null_key then Join_table.append jt ~hash:h ~payload:j
+          (* Build, two-phase: a morsel phase computes every build row's
+             key hash (1 work unit per row, NULL keys included) — disjoint
+             writes into a shared buffer — then the calling domain
+             appends the entries in row order, so payload numbering never
+             depends on the schedule, and one seal links chains in
+             canonical ascending-payload order and charges the resize
+             bill. *)
+          let n = inner.nrows in
+          let kbuf = pool_acquire n in
+          run_phase ~n (fun _w _m lo hi ->
+              for j = lo to hi - 1 do
+                kbuf.(j) <- tuple_key inner islots idatas j
               done;
-              pool_release kbuf
-          | None ->
-              for j = 0 to inner.nrows - 1 do
-                let h = tuple_key inner islots idatas j in
-                if h <> null_key then Join_table.append jt ~hash:h ~payload:j;
-                if charge_hash then spend 1
-              done);
+              if charge_hash then charge (hi - lo) 0);
+          for j = 0 to n - 1 do
+            let h = kbuf.(j) in
+            if h <> null_key then Join_table.append jt ~hash:h ~payload:j
+          done;
+          pool_release kbuf;
           let seal_work = Join_table.seal jt in
           if charge_hash then spend seal_work;
           (* Publish to the recycling cache while the build batch is
@@ -456,68 +377,31 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           jt
     in
     let out = batch_create (Array.append outer.rels inner.rels) in
-    (match par_pool outer.nrows with
-    | Some p ->
-        let n = outer.nrows in
-        let ow = outer.width and iw = inner.width in
-        let width = out.width in
-        let morsels = (n + chunk - 1) / chunk in
-        let m_src = pool_acquire morsels
-        and m_off = pool_acquire morsels
-        and m_cnt = pool_acquire morsels in
-        let base = !work in
-        run_phase p ~morsels ~body:(fun w m ->
-            let lo = m * chunk in
-            let hi = min n (lo + chunk) in
-            m_src.(m) <- w.wslot;
-            m_off.(m) <- w.wlen;
-            let wk = ref 0 and emitted = ref 0 in
-            for i = lo to hi - 1 do
-              let h = tuple_key outer oslots odatas i in
-              if h <> null_key then begin
-                let pw =
-                  Join_table.probe jt ~hash:h ~f:(fun j ->
-                      if keys_equal outer oslots odatas i inner islots idatas j
-                      then begin
-                        wbuf_reserve w width;
-                        Array.blit outer.data (i * ow) w.wbuf w.wlen ow;
-                        Array.blit inner.data (j * iw) w.wbuf (w.wlen + ow) iw;
-                        w.wlen <- w.wlen + width;
-                        incr emitted;
-                        wk := !wk + emit_cost
-                      end)
-                in
-                if charge_hash then wk := !wk + pw
-              end
-              else if charge_hash then incr wk
-            done;
-            m_cnt.(m) <- !emitted;
-            let t = Morsel.add phase_work !wk in
-            if base + t > limit then raise Timeout;
-            if !emitted > 0 then begin
-              let r = Morsel.add phase_rows !emitted in
-              if r > row_limit then raise Timeout
-            end);
-        assemble out ~morsels ~m_src ~m_off ~m_cnt;
-        pool_release m_src;
-        pool_release m_off;
-        pool_release m_cnt
-    | None ->
-        for i = 0 to outer.nrows - 1 do
+    let ow = outer.width and iw = inner.width in
+    let width = out.width in
+    staged_phase ~n:outer.nrows out (fun w lo hi ->
+        let wk = ref 0 and emitted = ref 0 in
+        for i = lo to hi - 1 do
           let h = tuple_key outer oslots odatas i in
           if h <> null_key then begin
-            let w =
+            let pw =
               Join_table.probe jt ~hash:h ~f:(fun j ->
                   if keys_equal outer oslots odatas i inner islots idatas j
                   then begin
-                    emit_joined out outer i inner j;
-                    spend emit_cost
+                    wbuf_reserve w width;
+                    Array.blit outer.data (i * ow) w.wbuf w.wlen ow;
+                    Array.blit inner.data (j * iw) w.wbuf (w.wlen + ow) iw;
+                    w.wlen <- w.wlen + width;
+                    incr emitted;
+                    wk := !wk + emit_cost
                   end)
             in
-            if charge_hash then spend w
+            if charge_hash then wk := !wk + pw
           end
-          else if charge_hash then spend 1
-        done);
+          else if charge_hash then incr wk
+        done;
+        charge !wk !emitted;
+        !emitted);
     retire outer;
     if retire_inner then retire inner;
     out
@@ -771,76 +655,34 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       go 0
     in
     let out = batch_create (Array.append ob.rels [| inner_rel |]) in
-    (match par_pool ob.nrows with
-    | Some p ->
-        (* Index lookups are read-only (the database's index cache is a
-           copy-on-write snapshot) and the compiled predicate's only
-           mutable state is validated-before-use reader caches, so the
-           probe side parallelizes like a hash probe. *)
-        let n = ob.nrows in
-        let width = out.width in
-        let morsels = (n + chunk - 1) / chunk in
-        let m_src = pool_acquire morsels
-        and m_off = pool_acquire morsels
-        and m_cnt = pool_acquire morsels in
-        let base = !work in
-        run_phase p ~morsels ~body:(fun w m ->
-            let lo = m * chunk in
-            let hi = min n (lo + chunk) in
-            m_src.(m) <- w.wslot;
-            m_off.(m) <- w.wlen;
-            let wk = ref 0 and emitted = ref 0 in
-            for i = lo to hi - 1 do
-              wk := !wk + 4;
-              let key = outer_key_data ob.data.((i * ob.width) + outer_key_slot) in
-              if key <> null then begin
-                let matches = Storage.Index.lookup index key in
-                wk := !wk + Array.length matches;
-                Array.iter
-                  (fun inner_row ->
-                    if pred inner_row && filters_pass i inner_row then begin
-                      wbuf_reserve w width;
-                      Array.blit ob.data (i * ob.width) w.wbuf w.wlen ob.width;
-                      w.wbuf.(w.wlen + ob.width) <- inner_row;
-                      w.wlen <- w.wlen + width;
-                      incr emitted;
-                      incr wk
-                    end)
-                  matches
-              end
-            done;
-            m_cnt.(m) <- !emitted;
-            let t = Morsel.add phase_work !wk in
-            if base + t > limit then raise Timeout;
-            if !emitted > 0 then begin
-              let r = Morsel.add phase_rows !emitted in
-              if r > row_limit then raise Timeout
-            end);
-        assemble out ~morsels ~m_src ~m_off ~m_cnt;
-        pool_release m_src;
-        pool_release m_off;
-        pool_release m_cnt
-    | None ->
-        for i = 0 to ob.nrows - 1 do
-          spend 4; (* index descent: random access *)
+    (* Index lookups are read-only (the database's index cache is a
+       copy-on-write snapshot) and the compiled predicate's only mutable
+       state is validated-before-use reader caches, so the probe runs as
+       a morsel phase like a hash probe. *)
+    let width = out.width in
+    staged_phase ~n:ob.nrows out (fun w lo hi ->
+        let wk = ref 0 and emitted = ref 0 in
+        for i = lo to hi - 1 do
+          wk := !wk + 4; (* index descent: random access *)
           let key = outer_key_data ob.data.((i * ob.width) + outer_key_slot) in
           if key <> null then begin
             let matches = Storage.Index.lookup index key in
-            spend (Array.length matches);
+            wk := !wk + Array.length matches;
             Array.iter
               (fun inner_row ->
                 if pred inner_row && filters_pass i inner_row then begin
-                  batch_reserve out 1;
-                  let base = out.nrows * out.width in
-                  Array.blit ob.data (i * ob.width) out.data base ob.width;
-                  out.data.(base + ob.width) <- inner_row;
-                  out.nrows <- out.nrows + 1;
-                  check_rows out;
-                  spend 1
+                  wbuf_reserve w width;
+                  Array.blit ob.data (i * ob.width) w.wbuf w.wlen ob.width;
+                  w.wbuf.(w.wlen + ob.width) <- inner_row;
+                  w.wlen <- w.wlen + width;
+                  incr emitted;
+                  incr wk
                 end)
               matches
           end
-        done);
+        done;
+        charge !wk !emitted;
+        !emitted);
     retire ob;
     out
   in

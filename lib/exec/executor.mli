@@ -29,13 +29,6 @@ type result = {
       (** MIN() of each requested projection, when the query finished. *)
 }
 
-val reference_scan : bool Atomic.t
-(** Test-only: when set, scans evaluate predicates with the original
-    row-at-a-time compiled closures instead of selection vectors. Both
-    paths select identical rows and charge identical work; the kernel
-    cross-check test runs the full workload through each and asserts
-    equality. Defaults to [false]. *)
-
 val run :
   db:Storage.Database.t ->
   graph:Query.Query_graph.t ->
@@ -51,20 +44,20 @@ val run :
     physical design does not provide, or uses a nested-loop join under a
     configuration that forbids it.
 
-    [pool] enables morsel-driven intra-query parallelism (HyPer-style):
-    base-table scans, hash-join builds, and hash/index probe pipelines
-    run morsel-at-a-time (4096-row chunks) on the pool's workers, with
-    per-morsel output reassembled in morsel-index order and all budgets
-    tripping on shared totals — results, work, and timeout behaviour
-    are byte-identical to the serial path at any worker count (the
-    morsel determinism guarantee; see DESIGN §2h). Plan evaluation
-    order, merge joins, and checkpoint observation stay on the calling
-    domain, so [observe] never races. Without [pool] — or with
-    [config.morsel_exec = false], or on inputs below
-    [config.morsel_min_rows] — execution is exactly the serial
-    reference path. The pool may be shared: if it is busy with another
-    task the executor transparently runs its phases on the calling
-    domain alone.
+    Base-table scans, hash-join key passes, and hash/index probes always
+    run morsel-at-a-time (4096-row chunks): per-morsel output is staged
+    per worker slot and reassembled in morsel-index order, and all
+    budgets are checked against shared totals after every morsel.
+    [pool] decides only where a phase runs (HyPer-style intra-query
+    parallelism): a phase over at least two morsels of input runs on
+    the pool's workers when the pool has at least two domains;
+    otherwise the calling domain runs it alone, in morsel order. Results,
+    work, and timeout behaviour are therefore byte-identical with and
+    without a pool, at any worker count (see DESIGN §2h). Plan
+    evaluation order, merge joins, and checkpoint observation stay on
+    the calling domain, so [observe] never races. The pool may be
+    shared: if it is busy with another task the calling domain runs the
+    phase alone.
 
     [cache] enables cross-query join-build recycling: hash joins whose
     build side is a base-relation scan look up a sealed {!Join_table}

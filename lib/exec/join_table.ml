@@ -82,50 +82,18 @@ let grow_entries t =
     t.payloads <- resize t.payloads 0
   end
 
-(* Double the bucket array and redistribute; returns entries moved. *)
-let rehash t =
-  let n = 2 * Array.length t.buckets in
-  t.buckets <- Array.make n (-1);
-  t.mask <- n - 1;
-  for i = 0 to t.count - 1 do
-    let b = t.hashes.(i) land t.mask in
-    t.next.(i) <- t.buckets.(b);
-    t.buckets.(b) <- i
-  done;
-  t.count
-
-let insert t ~hash ~payload =
-  let work = ref 1 in
-  if t.resizable && t.count >= Array.length t.buckets then
-    work := !work + rehash t;
-  grow_entries t;
-  let i = t.count in
-  t.count <- i + 1;
-  t.hashes.(i) <- hash;
-  t.payloads.(i) <- payload;
-  let b = hash land t.mask in
-  t.next.(i) <- t.buckets.(b);
-  t.buckets.(b) <- i;
-  !work
-
 (* ------------------------------------------------------------------ *)
 (* Two-phase build: [append] entries without bucket linking, then one
-   [seal] links every chain and settles the resize bill. The executor
-   uses this path exclusively: it decouples entry writing (whose key
-   hashes the morsel workers compute in parallel) from bucket state,
-   and it makes chain order canonical — seal links entries from the
-   highest payload down, so probes traverse each chain in ascending
-   payload order no matter how the build was scheduled. That canonical
-   order is one pillar of the serial-vs-morsel byte-identity guarantee.
+   [seal] links every chain and settles the resize bill. This decouples
+   entry writing (whose key hashes the morsel workers compute) from
+   bucket state, and it makes chain order canonical — seal links
+   entries from the highest payload down, so probes traverse each chain
+   in ascending payload order no matter how the build was scheduled.
 
-   Work parity with the incremental path: [insert] charges 1 per entry
-   plus, when resizable, a rehash of [count] entries every time an
-   insert finds [count >= buckets] (so at count = B0, 2*B0, 4*B0, ...).
-   The caller charges the 1-per-entry part itself; [seal] replays the
-   resize schedule against the final count and returns exactly the work
-   the interleaved rehashes would have charged — totals are identical,
-   only the trip point within the build moves, and the work budget
-   trips on totals. Do not mix [insert] and [append] on one table. *)
+   The resize bill models a table that doubles its buckets whenever an
+   insert finds [count >= buckets], rehashing all [count] entries, so
+   at count = B0, 2*B0, 4*B0, ...: seal charges that schedule against
+   the final count. The caller charges 1 per appended entry itself. *)
 
 let append t ~hash ~payload =
   grow_entries t;
@@ -176,8 +144,8 @@ let seal t =
       work := !work + !b;
       b := 2 * !b
     done;
-    (* One allocation straight to the final size instead of the
-       incremental path's chain of doublings-plus-relinks. *)
+    (* One allocation straight to the final size instead of a chain of
+       doublings-plus-relinks. *)
     if !b <> Array.length t.buckets then begin
       t.buckets <- Array.make !b (-1);
       t.mask <- !b - 1

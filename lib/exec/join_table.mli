@@ -37,25 +37,21 @@ val byte_size : t -> int
 (** Physical bytes of the table's bucket and entry arrays (capacity,
     not live count) — what a recycled table keeps resident. *)
 
-val insert : t -> hash:int -> payload:int -> int
-(** Add an entry; returns the work units spent (1, plus amortized rehash
-    work when a resize triggers). Incremental reference path — do not
-    mix with {!append}/{!seal} on the same table. *)
-
 val append : t -> hash:int -> payload:int -> unit
 (** Stage an entry without linking it into a bucket chain; probes see
-    it only after {!seal}. Charge 1 work unit per appended row yourself
-    (matching {!insert}'s base cost). *)
+    it only after {!seal}. Charge 1 work unit per appended row
+    yourself. *)
 
 val seal : t -> int
-(** Link every staged entry's chain and settle the resize bill: returns
-    exactly the rehash work the incremental {!insert} schedule would
-    have charged for the final entry count (0 when not resizable), and
-    replaces the growth-by-rehash chain of copies with one allocation
-    at the final bucket count. Chains come out in ascending payload
-    order regardless of build schedule — the canonical probe order the
-    serial-vs-morsel identity guarantee relies on. Call exactly once,
-    after the last {!append}. *)
+(** Link every staged entry's chain and settle the resize bill. A
+    resizable table with [B0] initial buckets and [n] entries returns
+    the sum of [b] over [b = B0, 2*B0, 4*B0, ...] while [b < n] — the
+    rehash work of doubling the buckets each time the entry count
+    reaches them — and ends with one allocation at the final bucket
+    count; a fixed table returns 0. Chains come out in ascending
+    payload order regardless of build schedule — the canonical probe
+    order that makes results independent of worker count. Call exactly
+    once, after the last {!append}. *)
 
 (** {1 Load-factor telemetry} *)
 

@@ -1,15 +1,16 @@
 (* The executor's morsel scheduler: the one place intra-query work
    distribution state lives. A phase (scan, hash build, probe) slices
-   its input into fixed-size morsels and hands them to pool workers
-   through an atomic cursor; per-phase work and row totals accumulate
-   in shared counters so the work/row budgets trip on the same global
-   condition as the serial path.
+   its input into fixed-size morsels and hands them to its claimants
+   (pool workers, or the calling domain alone) through an atomic
+   cursor; per-phase work and row totals accumulate in shared counters
+   so the work/row budgets trip on the same global condition however
+   many claimants ran.
 
    domlint R6 confines [Atomic.fetch_and_add] to this module and
    [util/domain_pool.ml]: ad-hoc cursors elsewhere would bypass both
    the determinism argument (assembly by morsel index) and the
    accounting contract (monotone shared totals checked against the
-   serial budget). *)
+   budget). *)
 
 type cursor = { morsels : int; next : int Atomic.t }
 
@@ -25,7 +26,7 @@ let claim c =
     let i = Atomic.fetch_and_add c.next 1 in
     if i >= c.morsels then -1 else i
 
-(* Shared accumulator for one parallel phase. [add] returns the total
+(* Shared accumulator for one phase. [add] returns the total
    including this contribution, so a worker can compare the committed
    global figure against a budget without a second read. *)
 type acc = int Atomic.t
@@ -47,7 +48,7 @@ let dispatched = Obs.Metrics.counter "exec.morsel.dispatched"
 let stolen = Obs.Metrics.counter "exec.morsel.stolen"
 let skew_permille = Obs.Metrics.counter "exec.morsel.skew_permille"
 
-(* [note_phase claims] records one finished parallel phase from the
+(* [note_phase claims] records one finished pool phase from the
    per-slot claim counts. "Stolen" counts morsels that ran off the
    caller's domain (slot 0 is the caller); "skew" is the busiest slot's
    share relative to a perfect split, 1000 = perfectly balanced. *)

@@ -1,11 +1,11 @@
 (** Morsel scheduler: work-stealing cursor, shared phase accumulators,
-    and scheduler telemetry for the executor's intra-query parallelism.
+    and scheduler telemetry for the executor's morsel phases.
 
     All shared mutable work-distribution state for morsel execution
     lives here (domlint R6 enforces that); the executor builds each
-    parallel phase from a {!cursor} handing out morsel indices plus
-    {!acc} counters that make the work/row budgets trip on global
-    totals — the same condition the serial path checks, which is one
+    phase from a {!cursor} handing out morsel indices plus {!acc}
+    counters that make the work/row budgets trip on global totals —
+    the same condition however many domains claim morsels, which is one
     half of the byte-identical-results argument (the other half is
     assembly of per-morsel output in morsel-index order). *)
 
@@ -24,14 +24,14 @@ val claim : cursor -> int
 (** {1 Phase accumulators} *)
 
 type acc
-(** A shared monotone counter for one parallel phase (work units, rows
+(** A shared monotone counter for one phase (work units, rows
     emitted). *)
 
 val acc : unit -> acc
 val add : acc -> int -> int
 (** [add a n] adds [n] and returns the committed total including it —
-    workers compare that against the engine budget and raise on the
-    same global condition the serial path would. *)
+    claimants compare that against the engine budget and raise on the
+    same global condition at any worker count. *)
 
 val total : acc -> int
 val reset : acc -> unit
@@ -39,7 +39,7 @@ val reset : acc -> unit
 (** {1 Telemetry} *)
 
 type stats = {
-  st_phases : int;  (** parallel phases run since the last reset *)
+  st_phases : int;  (** pool phases run since the last reset *)
   st_dispatched : int;  (** morsels handed out *)
   st_stolen : int;  (** morsels run off the calling domain (slot > 0) *)
   st_skew : float;

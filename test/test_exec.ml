@@ -7,15 +7,24 @@ module QG = Query.Query_graph
 
 (* --- Join_table ------------------------------------------------------------ *)
 
+(* Append every (hash, payload) pair, then seal; returns the seal's
+   resize charge. *)
+let build jt pairs =
+  List.iter
+    (fun (hash, payload) -> Exec.Join_table.append jt ~hash ~payload)
+    pairs;
+  Exec.Join_table.seal jt
+
+let mixed n = List.init n (fun i -> (Exec.Join_table.mix i, i))
+
 let test_join_table_basics () =
   let jt = Exec.Join_table.create ~estimated_rows:100.0 ~resizable:false () in
   let h1 = Exec.Join_table.mix 42 and h2 = Exec.Join_table.mix 43 in
-  ignore (Exec.Join_table.insert jt ~hash:h1 ~payload:1);
-  ignore (Exec.Join_table.insert jt ~hash:h1 ~payload:2);
-  ignore (Exec.Join_table.insert jt ~hash:h2 ~payload:3);
+  ignore (build jt [ (h1, 1); (h1, 2); (h2, 3) ]);
   let found = ref [] in
   ignore (Exec.Join_table.probe jt ~hash:h1 ~f:(fun p -> found := p :: !found));
-  Alcotest.(check (list int)) "both payloads" [ 1; 2 ] (List.sort compare !found);
+  Alcotest.(check (list int)) "both payloads, ascending" [ 1; 2 ]
+    (List.rev !found);
   Alcotest.(check int) "entries" 3 (Exec.Join_table.entry_count jt)
 
 let test_join_table_undersized_chains () =
@@ -23,9 +32,8 @@ let test_join_table_undersized_chains () =
      PostgreSQL) forced to hold 64k entries: probes walk long chains,
      which the work accounting must reflect. *)
   let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false () in
-  for i = 0 to 65535 do
-    ignore (Exec.Join_table.insert jt ~hash:(Exec.Join_table.mix i) ~payload:i)
-  done;
+  Alcotest.(check int) "fixed table charges no resize" 0
+    (build jt (mixed 65536));
   Alcotest.(check int) "floored bucket array" 1024 (Exec.Join_table.bucket_count jt);
   (* 64k entries over 1024 buckets: ~64-entry chains, charged at a
      quarter tuple each. *)
@@ -36,12 +44,25 @@ let test_join_table_undersized_chains () =
 
 let test_join_table_resizing () =
   let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:true () in
-  for i = 0 to 65535 do
-    ignore (Exec.Join_table.insert jt ~hash:(Exec.Join_table.mix i) ~payload:i)
-  done;
+  ignore (build jt (mixed 65536));
   Alcotest.(check bool) "grew" true (Exec.Join_table.bucket_count jt >= 65536);
   let work = Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
   Alcotest.(check bool) "short chain" true (work < 10)
+
+(* The resize bill: a resizable table that starts at B0 buckets and
+   seals n entries charges sum b for b = B0, 2*B0, 4*B0, ... while
+   b < n (one full rehash per doubling); a fixed table charges 0. *)
+let seal_charges_doubling_schedule =
+  Support.qcheck_case ~name:"seal charges the doubling schedule"
+    QCheck.(triple (int_range 0 6000) (int_range 0 3) bool)
+    (fun (n, floor_exp, resizable) ->
+      let bucket_floor = 16 lsl (2 * floor_exp) in
+      let jt =
+        Exec.Join_table.create ~bucket_floor ~estimated_rows:1.0 ~resizable ()
+      in
+      let b0 = Exec.Join_table.bucket_count jt in
+      let rec expected b = if b < n then b + expected (2 * b) else 0 in
+      build jt (mixed n) = if resizable then expected b0 else 0)
 
 let join_table_finds_all =
   Support.qcheck_case ~name:"join table probe finds exactly inserted hashes"
@@ -53,10 +74,10 @@ let join_table_finds_all =
           ~resizable:(Util.Prng.bool prng) ()
       in
       let keys = Array.init 200 (fun _ -> Util.Prng.int prng 50) in
-      Array.iteri
-        (fun payload k ->
-          ignore (Exec.Join_table.insert jt ~hash:(Exec.Join_table.mix k) ~payload))
-        keys;
+      ignore
+        (build jt
+           (List.init 200 (fun payload ->
+                (Exec.Join_table.mix keys.(payload), payload))));
       List.for_all
         (fun probe ->
           let found = ref 0 in
@@ -321,6 +342,7 @@ let suite =
     Alcotest.test_case "join table basics" `Quick test_join_table_basics;
     Alcotest.test_case "undersized chains" `Quick test_join_table_undersized_chains;
     Alcotest.test_case "resizing" `Quick test_join_table_resizing;
+    seal_charges_doubling_schedule;
     join_table_finds_all;
     all_plans_agree;
     merge_join_agrees_with_hash;

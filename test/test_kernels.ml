@@ -1,7 +1,6 @@
 (* Kernel tests for the allocation-free hot paths: the vectorized
-   executor against embedded golden fixtures (with the row-at-a-time
-   reference scan cross-checked on the full workload), the
-   selection-vector predicate compiler against the row-level closures,
+   executor against embedded golden fixtures, the selection-vector
+   predicate compiler against the row-level closures,
    and the packed-key group table behind True_card.
 
    The goldens were captured from the pre-vectorization executor at
@@ -152,34 +151,21 @@ let run_query h (q : Harness.qctx) =
     Printf.sprintf "%.0f" (Cardest.True_card.card truth full),
     List.map Storage.Value.to_string r.Exec.Executor.mins )
 
-(* Both scan paths, every query, against the pre-change goldens: rows,
-   deterministic work, timeout status, exact cardinality and MINs all
-   byte-identical. *)
+(* Every query against the pre-change goldens: rows, deterministic work,
+   timeout status, exact cardinality and MINs all byte-identical. *)
 let test_golden_workload () =
   let h = Lazy.force harness in
-  Fun.protect
-    ~finally:(fun () -> Atomic.set Exec.Executor.reference_scan false)
-    (fun () ->
-      List.iter
-        (fun (name, rows, work, timed_out, truth, mins) ->
-          let q = Harness.find h name in
-          List.iter
-            (fun reference ->
-              Atomic.set Exec.Executor.reference_scan reference;
-              let grows, gwork, gtimed, gtruth, gmins = run_query h q in
-              let label =
-                Printf.sprintf "%s (%s scan)" name
-                  (if reference then "reference" else "vectorized")
-              in
-              Alcotest.(check int) (label ^ " rows") rows grows;
-              Alcotest.(check int) (label ^ " work") work gwork;
-              Alcotest.(check bool) (label ^ " timed_out") timed_out gtimed;
-              Alcotest.(check string)
-                (label ^ " true cardinality")
-                (string_of_int truth) gtruth;
-              Alcotest.(check (list string)) (label ^ " mins") mins gmins)
-            [ false; true ])
-        goldens)
+  List.iter
+    (fun (name, rows, work, timed_out, truth, mins) ->
+      let grows, gwork, gtimed, gtruth, gmins = run_query h (Harness.find h name) in
+      Alcotest.(check int) (name ^ " rows") rows grows;
+      Alcotest.(check int) (name ^ " work") work gwork;
+      Alcotest.(check bool) (name ^ " timed_out") timed_out gtimed;
+      Alcotest.(check string)
+        (name ^ " true cardinality")
+        (string_of_int truth) gtruth;
+      Alcotest.(check (list string)) (name ^ " mins") mins gmins)
+    goldens
 
 (* compile_selector must select exactly the rows compile's row closure
    accepts, in ascending order, over every base-table predicate of the

@@ -3,8 +3,10 @@
    exactly once, no claim after exhaustion, under concurrent
    claimants), accumulator semantics, and the end-to-end determinism
    guarantee — the full 113-query workload byte-identical at
-   exec-jobs 1/2/4 under every forced column encoding, and the
-   re-optimization driver's whole trajectory unchanged by a pool. *)
+   exec-jobs 1/2/4 under every forced column encoding, work and row
+   budgets tripping inside pool phases with the no-pool result and
+   without wedging the pool, and the re-optimization driver's whole
+   trajectory unchanged by a pool. *)
 
 module Morsel = Exec.Morsel
 
@@ -71,11 +73,7 @@ let test_acc () =
 
 (* --- the end-to-end determinism guarantee ----------------------------- *)
 
-(* Force the morsel path onto every phase regardless of input size, so
-   the tiny test database still exercises the parallel scan, build and
-   probe code. Results must not depend on this (or any) threshold. *)
-let engine =
-  { Exec.Engine_config.robust with name = "morsel test"; morsel_min_rows = 0 }
+let engine = { Exec.Engine_config.robust with name = "morsel test" }
 
 let run_all db pool =
   let s = Core.Session.of_database db in
@@ -105,11 +103,13 @@ let check_identical label baseline got =
       Alcotest.(check (list string)) (l ^ " mins") mins gmins)
     baseline got
 
-(* The tentpole acceptance test: all 113 queries, serial vs exec-jobs 2
+(* The determinism guarantee: all 113 queries, no pool vs exec-jobs 2
    vs exec-jobs 4, under every forced physical encoding — rows, work,
-   timeout flags and aggregates all byte-identical. *)
+   timeout flags and aggregates all byte-identical. Scale 0.002 is large
+   enough for dozens of phases per pass to reach the pool threshold of
+   two morsels. *)
 let test_workload_exec_jobs () =
-  let base = Datagen.Imdb_gen.generate ~seed:5 ~scale:0.0004 () in
+  let base = Datagen.Imdb_gen.generate ~seed:5 ~scale:0.002 () in
   Morsel.reset_stats ();
   List.iter
     (fun enc ->
@@ -123,22 +123,105 @@ let test_workload_exec_jobs () =
           check_identical (ename ^ " exec-jobs 4") serial
             (run_all db (Some p4))))
     Storage.Column.all_encodings;
-  (* Guard against the identity passing vacuously: the parallel runs
-     must actually have taken the morsel path. *)
+  (* Guard against the identity passing vacuously: the pooled runs must
+     actually have put phases on the pool. *)
   let stats = Morsel.stats () in
-  Alcotest.(check bool) "parallel phases actually ran" true
-    (stats.Morsel.st_phases > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 100 pool phases ran (%d)" stats.Morsel.st_phases)
+    true
+    (stats.Morsel.st_phases >= 100);
   Alcotest.(check bool) "morsels were dispatched" true
     (stats.Morsel.st_dispatched > 0)
+
+(* --- budget trips inside a pool phase ---------------------------------- *)
+
+(* cast_info ⋈ title as one hash join, cast_info the probe side. Its
+   scan and its probe both run over enough rows to be pool phases. *)
+let trip_fixture =
+  lazy
+    (let db = Datagen.Imdb_gen.generate ~seed:7 ~scale:0.005 () in
+     let b =
+       Sqlfront.Binder.bind_sql db ~name:"trip"
+         "SELECT MIN(t.title) FROM title AS t, cast_info AS ci WHERE \
+          t.id = ci.movie_id"
+     in
+     let g = b.Sqlfront.Binder.graph in
+     let rel alias =
+       (List.find
+          (fun (r : Query.Query_graph.relation) ->
+            String.equal r.Query.Query_graph.alias alias)
+          (Array.to_list (Query.Query_graph.relations g)))
+         .Query.Query_graph.idx
+     in
+     let plan =
+       Plan.join Plan.Hash_join ~outer:(Plan.scan (rel "ci"))
+         ~inner:(Plan.scan (rel "t"))
+     in
+     let scan_rows =
+       Storage.Table.row_count (Storage.Database.find_table db "cast_info")
+     in
+     (db, g, b.Sqlfront.Binder.projections, plan, scan_rows))
+
+let run_trip ?pool config =
+  let db, graph, projections, plan, _ = Lazy.force trip_fixture in
+  Exec.Executor.run ~db ~graph ~config ~size_est:(fun _ -> 1024.0) ?pool
+    ~projections plan
+
+let fingerprint (r : Exec.Executor.result) =
+  Printf.sprintf "rows %d, work %d, timed out %b, mins [%s]" r.Exec.Executor.rows
+    r.Exec.Executor.work r.Exec.Executor.timed_out
+    (String.concat "; " (List.map Storage.Value.to_string r.Exec.Executor.mins))
+
+(* A budget that trips mid-phase gives the same timeout result with and
+   without a pool, and leaves the pool free: the next query on it
+   answers exactly as the no-pool run does, on the pool. *)
+let check_trip label config =
+  let full = fingerprint (run_trip engine) in
+  let tripped = run_trip config in
+  Alcotest.(check bool) (label ^ ": trips without a pool") true
+    tripped.Exec.Executor.timed_out;
+  List.iter
+    (fun domains ->
+      with_pool domains (fun p ->
+          let on_pool l config =
+            Morsel.reset_stats ();
+            let r = fingerprint (run_trip ~pool:p config) in
+            Alcotest.(check bool) (l ^ " ran on the pool") true
+              ((Morsel.stats ()).Morsel.st_phases > 0);
+            r
+          in
+          let l = Printf.sprintf "%s, %d domains" label domains in
+          Alcotest.(check string) (l ^ ": same timeout result")
+            (fingerprint tripped)
+            (on_pool (l ^ ": the trip") config);
+          Alcotest.(check string) (l ^ ": next query unaffected") full
+            (on_pool (l ^ ": the next query") engine)))
+    [ 2; 4 ]
+
+let test_work_limit_trip () =
+  let _, _, _, _, scan_rows = Lazy.force trip_fixture in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe-side scan (%d rows) spans two morsels" scan_rows)
+    true
+    (scan_rows >= 2 * 4096);
+  (* The probe-side scan runs first and charges one unit per row, so
+     half its rows trips the work budget inside that scan phase. *)
+  check_trip "work limit"
+    { engine with Exec.Engine_config.work_limit = scan_rows / 2 }
+
+let test_row_limit_trip () =
+  let rows = (run_trip engine).Exec.Executor.rows in
+  Alcotest.(check bool) "join emits rows" true (rows > 1);
+  (* Only the probe phase counts emitted rows against the row budget. *)
+  check_trip "row limit"
+    { engine with Exec.Engine_config.row_limit = rows / 2 }
 
 (* --- re-optimization composes with the pool --------------------------- *)
 
 let test_reopt_pool_parity () =
   let database = Lazy.force Support.imdb_mid in
   Storage.Database.set_index_config database Storage.Database.Pk_only;
-  let config =
-    { Exec.Engine_config.default_9_4 with morsel_min_rows = 0 }
-  in
+  let config = Exec.Engine_config.default_9_4 in
   List.iter
     (fun name ->
       let q = Workload.Job.find name in
@@ -195,6 +278,10 @@ let suite =
     Alcotest.test_case "phase accumulators" `Quick test_acc;
     Alcotest.test_case "113-query workload identical at exec-jobs 1/2/4"
       `Slow test_workload_exec_jobs;
+    Alcotest.test_case "work-limit trip identical and leaves the pool free"
+      `Quick test_work_limit_trip;
+    Alcotest.test_case "row-limit trip identical and leaves the pool free"
+      `Quick test_row_limit_trip;
     Alcotest.test_case "reopt trajectory identical with a pool" `Slow
       test_reopt_pool_parity;
   ]

@@ -14,11 +14,7 @@ let with_pool domains f =
     ~finally:(fun () -> Util.Domain_pool.shutdown pool)
     (fun () -> f pool)
 
-(* Force the morsel path regardless of input size, as test_morsel does:
-   the identity must hold on the same code paths `jobench serve`
-   exercises. *)
-let engine =
-  { Exec.Engine_config.robust with name = "serve test"; morsel_min_rows = 0 }
+let engine = { Exec.Engine_config.robust with name = "serve test" }
 
 (* One prepared session + catalog shared by the serving tests. *)
 let fixture =
