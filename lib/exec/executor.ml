@@ -11,11 +11,12 @@ type result = {
 
 exception Timeout
 
-(* Rows per morsel: the unit every vectorized phase is scheduled,
-   staged and budget-checked in. *)
+(* Rows per morsel and per stage buffer: the unit every pipeline is
+   scheduled, pushed and budget-checked in. *)
 let chunk = 4096
 
-(* Row-major tuple store for intermediate results. *)
+(* Row-major tuple store: materialized intermediates, and the
+   [chunk]-row buffers pipeline stages emit into. *)
 type batch = {
   rels : int array;
   slots : int array;  (* relation index -> slot, -1 when absent *)
@@ -24,10 +25,21 @@ type batch = {
   mutable nrows : int;
 }
 
-let slot_of b rel =
-  if rel >= Array.length b.slots || b.slots.(rel) < 0 then
+(* Direct rel -> slot lookup for a tuple layout, built once per layout;
+   [slot_in] runs per join-edge setup and per projection, so no linear
+   scans there. *)
+let layout rels =
+  let slots = Array.make (Array.fold_left max 0 rels + 1) (-1) in
+  Array.iteri (fun i rel -> slots.(rel) <- i) rels;
+  slots
+
+let batch_of rels data nrows =
+  { rels; slots = layout rels; width = Array.length rels; data; nrows }
+
+let slot_in slots rel =
+  if rel >= Array.length slots || slots.(rel) < 0 then
     invalid_arg "Executor: relation not in batch"
-  else b.slots.(rel)
+  else slots.(rel)
 
 let null = Storage.Value.null_code
 
@@ -60,10 +72,11 @@ let phase_of (p : Plan.t) =
 
 (* Per-slot scratch for morsel phases. A slot is owned by at most one
    running worker at a time ({!Util.Domain_pool.run_workers}'s
-   contract), so nothing here is locked. [wbuf] stages each claimed
-   morsel's output contiguously; the caller stitches the segments back
-   together in morsel-index order, which is what makes assembled batches
-   independent of how many slots ran the phase. *)
+   contract), so nothing here is locked. [wbuf] is the materializing
+   sink's staging area: each claimed morsel's output lands there
+   contiguously and the caller stitches the segments back together in
+   morsel-index order, which is what makes materialized batches
+   independent of how many slots ran the pipeline. *)
 type wstate = {
   wslot : int;
   mutable wbuf : int array;
@@ -81,6 +94,29 @@ let wbuf_reserve w extra =
     Array.blit w.wbuf 0 bigger 0 w.wlen;
     w.wbuf <- bigger
   end
+
+(* [consume w b lo hi] feeds rows [lo, hi) of [b] to a pipeline stage or
+   sink, on worker slot [w]. *)
+type consumer = wstate -> batch -> int -> int -> unit
+
+(* One stage's output on one worker slot: at most [chunk] tuples, plus
+   the work and rows it emitted since they were last charged. *)
+type obuf = { ob : batch; mutable owk : int; mutable orows : int }
+
+(* A probe stage whose build side is ready. [kernel bufs push] is its
+   consumer: it emits into [bufs.(slot)], adds its charges there, and
+   calls [push] on a full buffer. *)
+type stage = {
+  node : Plan.t;
+  out_rels : int array;
+  rows : Morsel.acc;  (* rows emitted: the node's exact cardinality *)
+  kernel : obuf array -> (wstate -> obuf -> unit) -> consumer;
+  release : unit -> unit;  (* retires the build side after the pipeline *)
+}
+
+(* Where a pipeline's tuples come from: a base-table scan (a selection
+   vector per morsel) or an already materialized batch. *)
+type source = Scan_src of Plan.t * int | Batch_src of batch
 
 let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     plan =
@@ -101,38 +137,34 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   in
 
   (* Scratch pool: int arrays retired by consumed intermediate batches
-     (and key/selection buffers), reused for the next intermediate. A
-     bushy plan stops reallocating its working set once the first few
-     joins have sized it. Arrays are never zeroed on reuse — every
-     consumer writes before it reads. *)
+     (and key/selection/stage buffers), reused best-fit for the next
+     one. A bushy plan stops reallocating its working set once the first
+     few joins have sized it. Arrays are never zeroed on reuse — every
+     consumer writes before it reads. Only the calling domain touches
+     the pool (pipelines set up and tear down there). *)
   let scratch = ref [] in
   let pool_acquire min_len =
-    let rec go acc = function
-      | [] -> Array.make (max 1024 min_len) 0
-      | a :: rest when Array.length a >= min_len ->
-          scratch := List.rev_append acc rest;
-          a
-      | a :: rest -> go (a :: acc) rest
+    let best =
+      List.fold_left
+        (fun best a ->
+          let n = Array.length a in
+          if n >= min_len
+             && (match best with Some b -> n < Array.length b | None -> true)
+          then Some a
+          else best)
+        None !scratch
     in
-    go [] !scratch
+    match best with
+    | Some a ->
+        scratch := List.filter (fun b -> b != a) !scratch;
+        a
+    | None -> Array.make (max 1024 min_len) 0
   in
   let pool_release a = if Array.length a >= 1024 then scratch := a :: !scratch in
   let retire b = pool_release b.data in
 
-  let batch_create rels =
-    let width = Array.length rels in
-    (* Direct rel -> slot lookup built once per batch; [slot_of] runs per
-       join-edge setup and per finish column, so no linear scans there. *)
-    let max_rel = Array.fold_left max 0 rels in
-    let slots = Array.make (max_rel + 1) (-1) in
-    Array.iteri (fun i rel -> slots.(rel) <- i) rels;
-    {
-      rels;
-      slots;
-      width;
-      data = pool_acquire (max 16 (width * 16));
-      nrows = 0;
-    }
+  let batch_create ?(rows = 16) rels =
+    batch_of rels (pool_acquire (max 16 (Array.length rels * rows))) 0
   in
   let batch_reserve b extra_rows =
     let needed = (b.nrows + extra_rows) * b.width in
@@ -145,23 +177,23 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   in
 
   (* Join-key accessors per edge, preextracted into flat parallel arrays
-     (slot and column data), so the per-row key loop touches no lists,
-     no tuples, and no closures. *)
-  let key_arrays batch side edges =
+     (slot and column data) for a tuple layout, so the per-row key loop
+     touches no lists, no tuples, and no closures. *)
+  let key_arrays slots side edges =
     let k = List.length edges in
-    let slots = Array.make k 0 in
+    let kslots = Array.make k 0 in
     let datas = Array.make k no_reader in
     List.iteri
       (fun idx (e : QG.edge) ->
         match side with
         | `Outer ->
-            slots.(idx) <- slot_of batch e.QG.left;
+            kslots.(idx) <- slot_in slots e.QG.left;
             datas.(idx) <- column_data e.QG.left e.QG.left_col
         | `Inner ->
-            slots.(idx) <- slot_of batch e.QG.right;
+            kslots.(idx) <- slot_in slots e.QG.right;
             datas.(idx) <- column_data e.QG.right e.QG.right_col)
       edges;
-    (slots, datas)
+    (kslots, datas)
   in
   (* Composite hash of a tuple's join-key columns; [null_key] if any is
      NULL. *)
@@ -200,23 +232,21 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
 
   (* ---------------- Morsel phases ----------------
 
-     Every vectorized phase — scan, hash-build key pass, hash probe,
-     index-NL probe — carves its input rows into [chunk]-row morsels
-     handed out by an atomic cursor. With a pool of at least two domains
-     and at least two morsels of input, the pool's workers claim them;
-     otherwise the calling domain drains the cursor alone, as slot 0, in
-     morsel order. Either way each morsel stages its output in its
-     slot's buffer and [staged_phase] stitches the segments back
-     together in morsel-index order, so batches — and every downstream
-     decision — do not depend on where the phase ran.
+     Every vectorized phase — a pipeline, a hash-build key pass — carves
+     its input rows into [chunk]-row morsels handed out by an atomic
+     cursor. With a pool of at least two domains and at least two
+     morsels of input, the pool's workers claim them; otherwise the
+     calling domain drains the cursor alone, as slot 0, in morsel order.
 
-     Accounting: a morsel's work and emitted rows go into shared
-     [Morsel.acc] totals through [charge], which compares the committed
-     totals against the limits after every morsel. Sums are
-     order-independent, so the budget trips on the same condition at
-     any worker count. A tripped budget raises {!Timeout} (the pool
-     re-raises a worker's), and the top-level handler below turns it
-     into the usual timeout result. *)
+     Accounting: a phase's work goes into one shared [Morsel.acc] total
+     and each pipeline stage's emitted rows into its own, through
+     [charge], which compares the committed totals against the limits
+     every time a stage settles. Sums are order-independent, so the
+     budget trips on the same condition at any worker count — and on
+     the same condition whether or not an intermediate is stored. A
+     tripped budget raises {!Timeout} (the pool re-raises a worker's),
+     and the top-level handler below turns it into the usual timeout
+     result. *)
   let nworkers =
     match pool with Some p -> Util.Domain_pool.size p | None -> 1
   in
@@ -232,17 +262,18 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         })
   in
   let phase_work = Morsel.acc () in
-  let phase_rows = Morsel.acc () in
   (* [!work] is only written between phases, so workers may read it. *)
-  let charge wk rows =
-    if !work + Morsel.add phase_work wk > limit then raise Timeout;
-    if rows > 0 && Morsel.add phase_rows rows > row_limit then raise Timeout
+  let charge_work wk =
+    if !work + Morsel.add phase_work wk > limit then raise Timeout
+  in
+  let charge rows wk n =
+    charge_work wk;
+    if n > 0 && Morsel.add rows n > row_limit then raise Timeout
   in
   (* Run [body w m lo hi] for every morsel [m] = rows [lo, hi) of an
      [n]-row input. *)
   let run_phase ~n body =
     Morsel.reset phase_work;
-    Morsel.reset phase_rows;
     Array.iter
       (fun w ->
         w.wlen <- 0;
@@ -269,73 +300,44 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     | _ -> drain 0);
     work := !work + Morsel.total phase_work
   in
-  (* A phase whose [body w lo hi] appends output tuples to [w.wbuf] and
-     returns how many it staged; they land in [out] in morsel order. *)
-  let staged_phase ~n out body =
-    let morsels = (n + chunk - 1) / chunk in
-    let m_src = Array.make morsels 0
-    and m_off = Array.make morsels 0
-    and m_cnt = Array.make morsels 0 in
-    run_phase ~n (fun w m lo hi ->
-        m_src.(m) <- w.wslot;
-        m_off.(m) <- w.wlen;
-        m_cnt.(m) <- body w lo hi);
-    let width = out.width in
-    batch_reserve out (Array.fold_left ( + ) 0 m_cnt);
-    for m = 0 to morsels - 1 do
-      let cnt = m_cnt.(m) in
-      if cnt > 0 then begin
-        Array.blit workers.(m_src.(m)).wbuf m_off.(m) out.data
-          (out.nrows * width) (cnt * width);
-        out.nrows <- out.nrows + cnt
-      end
-    done
+
+  (* Checkpoint instrumentation: after a node's result is complete,
+     report its exact cardinality and the work spent so far. [observe]
+     defaults to [None], in which case the hook is a single option match
+     per plan node — no closure, no allocation. An Index_nl_join's inner
+     scan is never evaluated on its own, so it reports no checkpoint;
+     the joined result does. Observer exceptions propagate to the caller
+     (only {!Timeout} is caught below) — the re-optimization driver uses
+     exactly that to abandon a doomed plan mid-flight. *)
+  let checkpoint set rows =
+    match observe with None -> () | Some f -> f set ~rows ~work:!work
   in
 
-  (* Scans fill a selection vector per morsel (one compaction pass per
-     predicate atom). Each slot mints its own selector instance from a
-     shared factory (dictionary bitmaps compiled once), since an
-     instance owns mutable decode scratch. *)
-  let scan rel =
-    let relation = QG.relation graph rel in
-    let table = relation.QG.table in
-    let out = batch_create [| rel |] in
-    let factory = Query.Predicate.selector_factory table relation.QG.preds in
-    staged_phase ~n:(Storage.Table.row_count table) out (fun w lo hi ->
-        let fill =
-          match w.wfill with
-          | Some f -> f
-          | None ->
-              let f = factory () in
-              w.wfill <- Some f;
-              f
-        in
-        let cnt = fill w.wsel lo hi in
-        wbuf_reserve w cnt;
-        Array.blit w.wsel 0 w.wbuf w.wlen cnt;
-        w.wlen <- w.wlen + cnt;
-        charge (hi - lo) 0;
-        cnt);
-    out
-  in
+  (* ---------------- Probe stages ----------------
+
+     A stage consumes its input tuples a chunk at a time and emits
+     joined tuples into its slot's [chunk]-row buffer; a full buffer is
+     pushed, in order, to the next stage or the sink, so a stage's
+     output is never stored whatever its fan-out. A stage charges its
+     operator's work units whether or not it is fused. Emitted rows are
+     always charged, so no intermediate — stored or not — can outgrow
+     the work budget. *)
+  let emit_cost = 2 in
 
   (* Hash-based matching shared by hash join and the nested-loop
-     shortcut: returns the joined batch; [charge_hash] selects whether
-     hash build/probe work is charged (the NL shortcut charges the
-     quadratic pair count instead). Emitted rows are always charged, so
-     materialized intermediates can never outgrow the work budget. *)
-  let emit_cost = 2 in
-  let hash_match ~oset ~iset ~charge_hash ~table_size ?(retire_inner = true)
-      ?prebuilt ?install outer inner =
-    let edges = QG.edges_between graph oset iset in
+     shortcut. [charge_hash] selects whether hash build/probe work is
+     charged; the NL shortcut instead charges [pair_cost] (the inner's
+     row count) per outer row — the quadratic pair count in total. *)
+  let hash_stage node ~in_rels ~edges ~charge_hash ~pair_cost ~table_size
+      ?(retire_inner = true) ?prebuilt ?install (inner : batch) =
     if edges = [] then invalid_arg "Executor: cross product";
-    let oslots, odatas = key_arrays outer `Outer edges in
-    let islots, idatas = key_arrays inner `Inner edges in
+    let oslots, odatas = key_arrays (layout in_rels) `Outer edges in
+    let islots, idatas = key_arrays inner.slots `Inner edges in
     let jt =
       match prebuilt with
       | Some jt ->
           (* Recycled sealed table (the caller already replayed the
-             build's work charges): straight to the probe phase. *)
+             build's work charges): straight to the probe. *)
           jt
       | None ->
           let jt =
@@ -357,7 +359,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
               for j = lo to hi - 1 do
                 kbuf.(j) <- tuple_key inner islots idatas j
               done;
-              if charge_hash then charge (hi - lo) 0);
+              if charge_hash then charge_work (hi - lo));
           for j = 0 to n - 1 do
             let h = kbuf.(j) in
             if h <> null_key then Join_table.append jt ~hash:h ~payload:j
@@ -366,7 +368,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           let seal_work = Join_table.seal jt in
           if charge_hash then spend seal_work;
           (* Publish to the recycling cache while the build batch is
-             still alive: the row-id copy must happen before [retire]
+             still alive: the row-id copy must happen before [release]
              returns the batch's array to the scratch pool. *)
           (match install with
           | Some f ->
@@ -376,35 +378,158 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           | None -> ());
           jt
     in
-    let out = batch_create (Array.append outer.rels inner.rels) in
-    let ow = outer.width and iw = inner.width in
-    let width = out.width in
-    staged_phase ~n:outer.nrows out (fun w lo hi ->
-        let wk = ref 0 and emitted = ref 0 in
-        for i = lo to hi - 1 do
-          let h = tuple_key outer oslots odatas i in
-          if h <> null_key then begin
-            let pw =
-              Join_table.probe jt ~hash:h ~f:(fun j ->
-                  if keys_equal outer oslots odatas i inner islots idatas j
-                  then begin
-                    wbuf_reserve w width;
-                    Array.blit outer.data (i * ow) w.wbuf w.wlen ow;
-                    Array.blit inner.data (j * iw) w.wbuf (w.wlen + ow) iw;
-                    w.wlen <- w.wlen + width;
-                    incr emitted;
-                    wk := !wk + emit_cost
-                  end)
-            in
-            if charge_hash then wk := !wk + pw
-          end
-          else if charge_hash then incr wk
-        done;
-        charge !wk !emitted;
-        !emitted);
-    retire outer;
-    if retire_inner then retire inner;
-    out
+    let out_rels = Array.append in_rels inner.rels in
+    let ow = Array.length in_rels and iw = inner.width in
+    let width = ow + iw in
+    let kernel bufs push w (b : batch) lo hi =
+      let o = bufs.(w.wslot) in
+      let out = o.ob in
+      for i = lo to hi - 1 do
+        o.owk <- o.owk + pair_cost;
+        let h = tuple_key b oslots odatas i in
+        if h <> null_key then begin
+          let pw =
+            Join_table.probe jt ~hash:h ~f:(fun j ->
+                if keys_equal b oslots odatas i inner islots idatas j then begin
+                  let base = out.nrows * width in
+                  Array.blit b.data (i * ow) out.data base ow;
+                  Array.blit inner.data (j * iw) out.data (base + ow) iw;
+                  out.nrows <- out.nrows + 1;
+                  o.orows <- o.orows + 1;
+                  o.owk <- o.owk + emit_cost;
+                  if out.nrows = chunk then push w o
+                end)
+          in
+          if charge_hash then o.owk <- o.owk + pw
+        end
+        else if charge_hash then o.owk <- o.owk + 1
+      done
+    in
+    {
+      node;
+      out_rels;
+      rows = Morsel.acc ();
+      kernel;
+      release = (fun () -> if retire_inner then retire inner);
+    }
+  in
+
+  (* Index-NL probe. Index lookups are read-only (the database's index
+     cache is a copy-on-write snapshot) and the compiled predicate's only
+     mutable state is validated-before-use reader caches, so the stage
+     runs on any worker like a hash probe. *)
+  let index_stage node ~in_rels ~edges inner_rel =
+    let relation = QG.relation graph inner_rel in
+    let table = relation.QG.table in
+    let table_name = Storage.Table.name table in
+    let pred = Query.Predicate.compile table relation.QG.preds in
+    (* Pick an indexed edge for the lookup; remaining edges are
+       post-filters. *)
+    let indexed_edge, index =
+      let rec find = function
+        | [] -> invalid_arg "Executor: index-NL join without an available index"
+        | (e : QG.edge) :: rest -> (
+            match Storage.Database.index db ~table:table_name ~col:e.QG.right_col with
+            | Some idx -> (e, idx)
+            | None -> find rest)
+      in
+      find edges
+    in
+    let other_edges = List.filter (fun e -> e != indexed_edge) edges in
+    let in_slots = layout in_rels in
+    let outer_key_slot = slot_in in_slots indexed_edge.QG.left in
+    let outer_key_data = column_data indexed_edge.QG.left indexed_edge.QG.left_col in
+    (* Post-filter edges, preextracted like the join keys above. *)
+    let nf = List.length other_edges in
+    let f_oslots = Array.make nf 0 in
+    let f_odatas = Array.make nf no_reader in
+    let f_idatas = Array.make nf no_reader in
+    List.iteri
+      (fun k (e : QG.edge) ->
+        f_oslots.(k) <- slot_in in_slots e.QG.left;
+        f_odatas.(k) <- column_data e.QG.left e.QG.left_col;
+        f_idatas.(k) <- column_data e.QG.right e.QG.right_col)
+      other_edges;
+    let ow = Array.length in_rels in
+    let width = ow + 1 in
+    let filters_pass (b : batch) i inner_row =
+      let base = i * ow in
+      let rec go k =
+        if k = nf then true
+        else
+          let ov = f_odatas.(k) b.data.(base + f_oslots.(k)) in
+          ov <> null && ov = f_idatas.(k) inner_row && go (k + 1)
+      in
+      go 0
+    in
+    let kernel bufs push w (b : batch) lo hi =
+      let o = bufs.(w.wslot) in
+      let out = o.ob in
+      for i = lo to hi - 1 do
+        o.owk <- o.owk + 4; (* index descent: random access *)
+        let key = outer_key_data b.data.((i * ow) + outer_key_slot) in
+        if key <> null then begin
+          let matches = Storage.Index.lookup index key in
+          o.owk <- o.owk + Array.length matches;
+          Array.iter
+            (fun inner_row ->
+              if pred inner_row && filters_pass b i inner_row then begin
+                let base = out.nrows * width in
+                Array.blit b.data (i * ow) out.data base ow;
+                out.data.(base + ow) <- inner_row;
+                out.nrows <- out.nrows + 1;
+                o.orows <- o.orows + 1;
+                o.owk <- o.owk + 1;
+                if out.nrows = chunk then push w o
+              end)
+            matches
+        end
+      done
+    in
+    {
+      node;
+      out_rels = Array.append in_rels [| inner_rel |];
+      rows = Morsel.acc ();
+      kernel;
+      release = ignore;
+    }
+  in
+
+  (* Wire [st] to its downstream consumer [next]: per-slot output
+     buffers, the settle-then-push protocol, and the end-of-morsel
+     flush. Returns the stage's consumer, its flush and its buffers. *)
+  let connect st next =
+    let bufs =
+      Array.init nworkers (fun _ ->
+          { ob = batch_create ~rows:chunk st.out_rels; owk = 0; orows = 0 })
+    in
+    let settle o =
+      charge st.rows o.owk o.orows;
+      o.owk <- 0;
+      o.orows <- 0
+    in
+    let push w o =
+      settle o;
+      if o.ob.nrows > 0 then begin
+        next w o.ob 0 o.ob.nrows;
+        o.ob.nrows <- 0
+      end
+    in
+    let probe = st.kernel bufs push in
+    let consume w b lo hi =
+      probe w b lo hi;
+      settle bufs.(w.wslot)
+    in
+    (consume, (fun w -> push w bufs.(w.wslot)), bufs)
+  in
+
+  (* The materializing sink: copy the tuples into the slot's staging
+     area; {!materialize} assembles the segments by morsel index. *)
+  let stage_into_wbuf w (b : batch) lo hi =
+    let len = (hi - lo) * b.width in
+    wbuf_reserve w len;
+    Array.blit b.data (lo * b.width) w.wbuf w.wlen len;
+    w.wlen <- w.wlen + len
   in
 
   (* Sort-merge join: sort both inputs' tuple indexes by composite key
@@ -413,8 +538,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   let merge_join ~oset ~iset outer inner =
     let edges = QG.edges_between graph oset iset in
     if edges = [] then invalid_arg "Executor: cross product";
-    let oslots, odatas = key_arrays outer `Outer edges in
-    let islots, idatas = key_arrays inner `Inner edges in
+    let oslots, odatas = key_arrays outer.slots `Outer edges in
+    let islots, idatas = key_arrays inner.slots `Inner edges in
     (* Per-row keys land in a pooled buffer; the sorted side is a
        permutation of the non-NULL row ids ordered by (key, row) —
        exactly the order the former boxed (key, row) pair sort produced,
@@ -487,76 +612,200 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     out
   in
 
-  (* Checkpoint instrumentation: after a node's result is materialized,
-     report its exact cardinality and the work spent so far. [observe]
-     defaults to [None], in which case the hook is a single option match
-     per plan node — no closure, no allocation. An Index_nl_join's inner
-     scan is never materialized on its own, so it reports no checkpoint;
-     the joined result does. Observer exceptions propagate to the caller
-     (only {!Timeout} is caught below) — the re-optimization driver uses
-     exactly that to abandon a doomed plan mid-flight. *)
-  let checkpoint set (b : batch) =
-    match observe with
-    | None -> b
-    | Some f ->
-        f set ~rows:b.nrows ~work:!work;
-        b
+  (* ---------------- Pipelines ----------------
+
+     A pipeline is a source, a chain of probe stages and a sink. The
+     breaker rule, in one place: [p]'s outer (probe) input is fused into
+     [p]'s pipeline iff [p] is a hash, NL or index-NL join and no
+     observer is attached. Everything else is materialized — build
+     sides, merge-join inputs and outputs, and, under an observer, every
+     node, so each checkpoint fires in the same post-order with the same
+     cumulative work as a one-stage-per-pipeline run. *)
+  let fuses_outer (p : Plan.t) =
+    Option.is_none observe
+    &&
+    match p.Plan.op with
+    | Plan.Join { algo; _ } -> algo <> Plan.Merge_join
+    | Plan.Scan _ -> false
   in
 
-  let rec eval (p : Plan.t) : batch =
-    let t0 = Obs.Trace.start () in
-    let b = eval_op p in
-    (* Nested per-operator span: a join's interval includes its
-       children's (the trace renders the tree); [a] is the node's exact
-       cardinality, [b] the cumulative work when it materialized. *)
-    Obs.Trace.span (phase_of p) ~t0 ~a:b.nrows ~b:!work;
-    checkpoint p.Plan.set b
-
-  and eval_op (p : Plan.t) : batch =
+  let rec materialize (p : Plan.t) : batch =
     match p.Plan.op with
-    | Plan.Scan rel -> scan rel
-    | Plan.Join { algo = Plan.Merge_join; outer = op; inner = ip } ->
-        let ob = eval op in
-        let ib = eval ip in
-        merge_join ~oset:op.Plan.set ~iset:ip.Plan.set ob ib
-    | Plan.Join { algo = Plan.Hash_join; outer = op; inner = ip } -> (
+    | Plan.Join { algo = Plan.Merge_join; outer; inner } ->
+        let t0 = Obs.Trace.start () in
+        let ob = materialize outer in
+        let ib = materialize inner in
+        let b = merge_join ~oset:outer.Plan.set ~iset:inner.Plan.set ob ib in
+        Obs.Trace.span ph_merge_join ~t0 ~a:b.nrows ~b:!work;
+        checkpoint p.Plan.set b.nrows;
+        b
+    | Plan.Scan _ | Plan.Join _ ->
+        let rels, m_src, m_off, m_cnt =
+          pipeline p ~sink:(fun _ -> stage_into_wbuf)
+        in
+        let w0 = workers.(0) in
+        if Array.for_all (fun slot -> slot = 0) m_src then begin
+          (* Slot 0 staged every morsel, in claim order — which is
+             morsel order — so its staging area already is the batch:
+             hand it over instead of copying it. *)
+          let out = batch_of rels w0.wbuf (w0.wlen / Array.length rels) in
+          w0.wbuf <- pool_acquire chunk;
+          out
+        end
+        else begin
+          let out = batch_create rels in
+          batch_reserve out (Array.fold_left ( + ) 0 m_cnt / out.width);
+          Array.iteri
+            (fun m cnt ->
+              if cnt > 0 then begin
+                Array.blit workers.(m_src.(m)).wbuf m_off.(m) out.data
+                  (out.nrows * out.width) cnt;
+                out.nrows <- out.nrows + (cnt / out.width)
+              end)
+            m_cnt;
+          out
+        end
+
+  (* Run the pipeline computing [p] into the consumer [sink rels] makes
+     for its output layout [rels]. Returns that layout and, per source
+     morsel, the slot, offset and length of what it staged in [wbuf]. *)
+  and pipeline (p : Plan.t) ~sink =
+    let t0 = Obs.Trace.start () in
+    let source, rev_stages, rels = plan_pipeline p in
+    (* Wire top-down: each stage pushes into the one above it. Flushes
+       end up bottom-first, the order that keeps every buffer FIFO. *)
+    let first, flushes, buffers =
+      List.fold_left
+        (fun (next, flushes, buffers) st ->
+          let consume, flush, bufs = connect st next in
+          (consume, flush :: flushes, bufs :: buffers))
+        (sink rels, [], []) rev_stages
+    in
+    let src_rows = Morsel.acc () in
+    let n, feed =
+      match source with
+      | Batch_src b -> (b.nrows, fun w lo hi -> first w b lo hi)
+      | Scan_src (_, rel) ->
+          let relation = QG.relation graph rel in
+          let table = relation.QG.table in
+          (* Each slot mints its own selector instance from a shared
+             factory (dictionary bitmaps compiled once), since an
+             instance owns mutable decode scratch. *)
+          let factory = Query.Predicate.selector_factory table relation.QG.preds in
+          let sel = Array.map (fun w -> batch_of [| rel |] w.wsel 0) workers in
+          ( Storage.Table.row_count table,
+            fun w lo hi ->
+              let fill =
+                match w.wfill with
+                | Some f -> f
+                | None ->
+                    let f = factory () in
+                    w.wfill <- Some f;
+                    f
+              in
+              let cnt = fill w.wsel lo hi in
+              charge_work (hi - lo);
+              ignore (Morsel.add src_rows cnt);
+              first w sel.(w.wslot) 0 cnt )
+    in
+    let morsels = (n + chunk - 1) / chunk in
+    let m_src = Array.make morsels 0
+    and m_off = Array.make morsels 0
+    and m_cnt = Array.make morsels 0 in
+    run_phase ~n (fun w m lo hi ->
+        m_src.(m) <- w.wslot;
+        m_off.(m) <- w.wlen;
+        feed w lo hi;
+        List.iter (fun flush -> flush w) flushes;
+        m_cnt.(m) <- w.wlen - m_off.(m));
+    List.iter (Array.iter (fun o -> pool_release o.ob.data)) buffers;
+    List.iter (fun st -> st.release ()) rev_stages;
+    (match source with Batch_src b -> retire b | Scan_src _ -> ());
+    (* Every node of the pipeline records its span, bottom-up, with its
+       exact rows and the work when the pipeline finished. The
+       pipeline's wall time goes to the top node's span; the fused nodes
+       below it record instants, so self times do not double count. *)
+    let nodes =
+      (match source with
+      | Scan_src (node, _) -> [ (node, Morsel.total src_rows) ]
+      | Batch_src _ -> [])
+      @ List.rev_map (fun st -> (st.node, Morsel.total st.rows)) rev_stages
+    in
+    let rec record = function
+      | [] -> ()
+      | [ ((node : Plan.t), rows) ] ->
+          Obs.Trace.span (phase_of node) ~t0 ~a:rows ~b:!work;
+          checkpoint node.Plan.set rows
+      | ((node : Plan.t), rows) :: rest ->
+          Obs.Trace.event (phase_of node) ~a:rows ~b:!work;
+          checkpoint node.Plan.set rows;
+          record rest
+    in
+    record nodes;
+    (rels, m_src, m_off, m_cnt)
+
+  (* The source and the stages (top first) of the pipeline computing
+     [p], with its output layout. Build sides are materialized here,
+     bottom-up, after the source. *)
+  and plan_pipeline (p : Plan.t) =
+    match p.Plan.op with
+    | Plan.Scan rel -> (Scan_src (p, rel), [], [| rel |])
+    | Plan.Join { algo = Plan.Merge_join; _ } ->
+        let b = materialize p in
+        (Batch_src b, [], b.rels)
+    | Plan.Join { algo; outer; inner } ->
+        (match (algo, inner.Plan.op) with
+        | Plan.Nl_join, _ when not config.Engine_config.allow_nl_join ->
+            invalid_arg "Executor: nested-loop join disabled in this configuration"
+        | Plan.Index_nl_join, Plan.Join _ ->
+            invalid_arg "Executor: index-NL inner must be base"
+        | _ -> ());
+        let source, stages, in_rels =
+          if fuses_outer p then plan_pipeline outer
+          else
+            let b = materialize outer in
+            (Batch_src b, [], b.rels)
+        in
+        let st = prepare_stage p ~in_rels ~outer ~inner in
+        (source, st :: stages, st.out_rels)
+
+  and prepare_stage (p : Plan.t) ~in_rels ~(outer : Plan.t) ~(inner : Plan.t) =
+    let edges = QG.edges_between graph outer.Plan.set inner.Plan.set in
+    match (p.Plan.op, inner.Plan.op) with
+    | Plan.Join { algo = Plan.Index_nl_join; _ }, Plan.Scan rel ->
+        index_stage p ~in_rels ~edges rel
+    | Plan.Join { algo = Plan.Nl_join; _ }, _ ->
+        let ib = materialize inner in
+        hash_stage p ~in_rels ~edges ~charge_hash:false ~pair_cost:ib.nrows
+          ~table_size:(float_of_int (max 16 ib.nrows))
+          ib
+    | _ -> (
         (* The hash table is sized from the optimizer's estimate of the
            build (inner) side — the 9.4 pathology under underestimates. *)
-        let table_size = size_est ip.Plan.set in
+        let table_size = size_est inner.Plan.set in
+        let hash = hash_stage p ~in_rels ~edges ~charge_hash:true ~pair_cost:0 ~table_size in
         (* Recycling applies only when the build side is a bare
            base-relation scan: then the sealed table plus the surviving
            row set is a pure function of (table, predicate, key columns,
            encodings, bucket sizing), all captured by the cache key. *)
-        let cacheable =
-          match (cache, ip.Plan.op) with
-          | Some c, Plan.Scan rel ->
-              let relation = QG.relation graph rel in
-              let table = relation.QG.table in
-              let edges = QG.edges_between graph op.Plan.set ip.Plan.set in
-              let cols = List.map (fun (e : QG.edge) -> e.QG.right_col) edges in
-              let key =
-                Join_cache.make_key
-                  ~table:(Storage.Table.name table)
-                  ~table_rows:(Storage.Table.row_count table)
-                  ~pred:(Join_cache.pred_digest relation.QG.preds)
-                  ~cols
-                  ~encoding:(Join_cache.encoding_fingerprint table)
-                  ~buckets:
-                    (Join_table.planned_buckets
-                       ~bucket_floor:config.Engine_config.hash_bucket_floor
-                       ~estimated_rows:table_size ())
-                  ~resizable:config.Engine_config.resize_hash_tables
-              in
-              Some (c, key, rel, Storage.Table.row_count table)
-          | _ -> None
-        in
-        match cacheable with
-        | None ->
-            let ob = eval op in
-            let ib = eval ip in
-            hash_match ~oset:op.Plan.set ~iset:ip.Plan.set ~charge_hash:true
-              ~table_size ob ib
-        | Some (c, key, rel, scan_rows) -> (
+        match (cache, inner.Plan.op) with
+        | Some c, Plan.Scan rel -> (
+            let relation = QG.relation graph rel in
+            let table = relation.QG.table in
+            let scan_rows = Storage.Table.row_count table in
+            let key =
+              Join_cache.make_key
+                ~table:(Storage.Table.name table)
+                ~table_rows:scan_rows
+                ~pred:(Join_cache.pred_digest relation.QG.preds)
+                ~cols:(List.map (fun (e : QG.edge) -> e.QG.right_col) edges)
+                ~encoding:(Join_cache.encoding_fingerprint table)
+                ~buckets:
+                  (Join_table.planned_buckets
+                     ~bucket_floor:config.Engine_config.hash_bucket_floor
+                     ~estimated_rows:table_size ())
+                ~resizable:config.Engine_config.resize_hash_tables
+            in
             match Join_cache.find c key with
             | Some entry ->
                 (* Hit: skip the build-side scan and the hash build, but
@@ -564,155 +813,73 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
                    inner scan's checkpoint where the uncached path would
                    have — results, work, observer sequences, and timeout
                    behaviour stay byte-identical; only wall-clock drops. *)
-                let ob = eval op in
                 spend entry.Join_cache.e_scan_work;
-                let slots = Array.make (rel + 1) (-1) in
-                slots.(rel) <- 0;
                 let ib =
-                  {
-                    rels = [| rel |];
-                    slots;
-                    width = 1;
-                    data = entry.Join_cache.e_rows;
-                    nrows = entry.Join_cache.e_nrows;
-                  }
+                  batch_of [| rel |] entry.Join_cache.e_rows
+                    entry.Join_cache.e_nrows
                 in
-                ignore (checkpoint ip.Plan.set ib);
+                checkpoint inner.Plan.set ib.nrows;
                 spend entry.Join_cache.e_build_work;
                 spend entry.Join_cache.e_seal_work;
                 (* [retire_inner:false]: the cached row array is shared
                    and must never enter the scratch pool. *)
-                hash_match ~oset:op.Plan.set ~iset:ip.Plan.set
-                  ~charge_hash:true ~table_size ~retire_inner:false
-                  ~prebuilt:entry.Join_cache.e_table ob ib
+                hash ~retire_inner:false ~prebuilt:entry.Join_cache.e_table ib
             | None ->
-                let ob = eval op in
-                let ib = eval ip in
-                hash_match ~oset:op.Plan.set ~iset:ip.Plan.set
-                  ~charge_hash:true ~table_size
+                let ib = materialize inner in
+                hash
                   ~install:(fun ~rows ~nrows ~table ~seal_work ->
                     Join_cache.install c key ~rows ~nrows ~table
                       ~scan_work:scan_rows ~build_work:nrows ~seal_work)
-                  ob ib))
-    | Plan.Join { algo = Plan.Nl_join; outer = op; inner = ip } ->
-        if not config.Engine_config.allow_nl_join then
-          invalid_arg "Executor: nested-loop join disabled in this configuration";
-        let ob = eval op in
-        let ib = eval ip in
-        (* Charge the quadratic pair count up front; compute the (equal)
-           result hash-based so answers stay exact. *)
-        spend (ob.nrows * ib.nrows);
-        hash_match ~oset:op.Plan.set ~iset:ip.Plan.set ~charge_hash:false
-          ~table_size:(float_of_int (max 16 ib.nrows))
-          ob ib
-    | Plan.Join { algo = Plan.Index_nl_join; outer = op; inner = ip } -> (
-        match ip.Plan.op with
-        | Plan.Join _ -> invalid_arg "Executor: index-NL inner must be base"
-        | Plan.Scan inner_rel ->
-            let ob = eval op in
-            index_nl_join ~oset:op.Plan.set ob inner_rel)
-
-  and index_nl_join ~oset ob inner_rel =
-    let relation = QG.relation graph inner_rel in
-    let table = relation.QG.table in
-    let table_name = Storage.Table.name table in
-    let pred = Query.Predicate.compile table relation.QG.preds in
-    let edges = QG.edges_between graph oset (Bitset.singleton inner_rel) in
-    (* Pick an indexed edge for the lookup; remaining edges are
-       post-filters. *)
-    let indexed_edge, index =
-      let rec find = function
-        | [] -> invalid_arg "Executor: index-NL join without an available index"
-        | (e : QG.edge) :: rest -> (
-            match Storage.Database.index db ~table:table_name ~col:e.QG.right_col with
-            | Some idx -> (e, idx)
-            | None -> find rest)
-      in
-      find edges
-    in
-    let other_edges = List.filter (fun e -> e != indexed_edge) edges in
-    let outer_key_slot = slot_of ob indexed_edge.QG.left in
-    let outer_key_data = column_data indexed_edge.QG.left indexed_edge.QG.left_col in
-    (* Post-filter edges, preextracted like the join keys above. *)
-    let nf = List.length other_edges in
-    let f_oslots = Array.make nf 0 in
-    let f_odatas = Array.make nf no_reader in
-    let f_idatas = Array.make nf no_reader in
-    List.iteri
-      (fun k (e : QG.edge) ->
-        f_oslots.(k) <- slot_of ob e.QG.left;
-        f_odatas.(k) <- column_data e.QG.left e.QG.left_col;
-        f_idatas.(k) <- column_data e.QG.right e.QG.right_col)
-      other_edges;
-    let filters_pass i inner_row =
-      let base = i * ob.width in
-      let rec go k =
-        if k = nf then true
-        else
-          let ov = f_odatas.(k) ob.data.(base + f_oslots.(k)) in
-          ov <> null && ov = f_idatas.(k) inner_row && go (k + 1)
-      in
-      go 0
-    in
-    let out = batch_create (Array.append ob.rels [| inner_rel |]) in
-    (* Index lookups are read-only (the database's index cache is a
-       copy-on-write snapshot) and the compiled predicate's only mutable
-       state is validated-before-use reader caches, so the probe runs as
-       a morsel phase like a hash probe. *)
-    let width = out.width in
-    staged_phase ~n:ob.nrows out (fun w lo hi ->
-        let wk = ref 0 and emitted = ref 0 in
-        for i = lo to hi - 1 do
-          wk := !wk + 4; (* index descent: random access *)
-          let key = outer_key_data ob.data.((i * ob.width) + outer_key_slot) in
-          if key <> null then begin
-            let matches = Storage.Index.lookup index key in
-            wk := !wk + Array.length matches;
-            Array.iter
-              (fun inner_row ->
-                if pred inner_row && filters_pass i inner_row then begin
-                  wbuf_reserve w width;
-                  Array.blit ob.data (i * ob.width) w.wbuf w.wlen ob.width;
-                  w.wbuf.(w.wlen + ob.width) <- inner_row;
-                  w.wlen <- w.wlen + width;
-                  incr emitted;
-                  incr wk
-                end)
-              matches
-          end
-        done;
-        charge !wk !emitted;
-        !emitted);
-    retire ob;
-    out
+                  ib)
+        | _ -> hash (materialize inner))
   in
 
-  let finish batch =
-    let mins =
-      List.map
-        (fun (rel, col) ->
-          let slot = slot_of batch rel in
-          let column = Storage.Table.column (QG.relation graph rel).QG.table col in
-          let read = Storage.Column.reader column in
-          let best = ref None in
-          for i = 0 to batch.nrows - 1 do
-            let row = batch.data.((i * batch.width) + slot) in
-            let v = read row in
-            if v <> null then
-              match !best with
-              | Some b when b <= v -> ()
-              | _ -> best := Some v
+  (* The root pipeline ends in the aggregate sink: per slot, COUNT and
+     the least non-NULL code of each projection, merged after the
+     phase. MIN over codes is order-independent, so it equals a pass
+     over the stored root at any worker count. *)
+  let aggregate root =
+    let proj = Array.of_list projections in
+    let np = Array.length proj in
+    let counts = Array.make nworkers 0 in
+    let best = Array.init nworkers (fun _ -> Array.make np null) in
+    let less v m = v <> null && (m = null || v < m) in
+    let sink rels =
+      let slots = layout rels in
+      let pslots = Array.map (fun (rel, _) -> slot_in slots rel) proj in
+      let readers = Array.map (fun (rel, col) -> column_data rel col) proj in
+      fun w (b : batch) lo hi ->
+        counts.(w.wslot) <- counts.(w.wslot) + (hi - lo);
+        let mins = best.(w.wslot) in
+        for k = 0 to np - 1 do
+          let read = readers.(k) and slot = pslots.(k) in
+          let m = ref mins.(k) in
+          for i = lo to hi - 1 do
+            let v = read b.data.((i * b.width) + slot) in
+            if less v !m then m := v
           done;
-          match !best with
-          | None -> Storage.Value.Null
-          | Some code -> (
-              match Storage.Column.dict column with
-              | None -> Storage.Value.Int code
-              | Some dict -> Storage.Value.Str (Storage.Dict.get dict code)))
+          mins.(k) <- !m
+        done
+    in
+    ignore (pipeline root ~sink);
+    let mins =
+      List.mapi
+        (fun k (rel, col) ->
+          let code =
+            Array.fold_left
+              (fun m mins -> if less mins.(k) m then mins.(k) else m)
+              null best
+          in
+          let column = Storage.Table.column (QG.relation graph rel).QG.table col in
+          if code = null then Storage.Value.Null
+          else
+            match Storage.Column.dict column with
+            | None -> Storage.Value.Int code
+            | Some dict -> Storage.Value.Str (Storage.Dict.get dict code))
         projections
     in
     {
-      rows = batch.nrows;
+      rows = Array.fold_left ( + ) 0 counts;
       work = !work;
       runtime_ms = float_of_int !work /. Engine_config.work_units_per_ms;
       timed_out = false;
@@ -720,7 +887,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     }
   in
   let t_exec = Obs.Trace.start () in
-  match finish (eval plan) with
+  match aggregate plan with
   | r ->
       Obs.Trace.span ph_exec ~t0:t_exec ~a:r.rows ~b:r.work;
       r

@@ -1,4 +1,5 @@
-(** Volcano-inspired plan executor with deterministic work accounting.
+(** Push-based plan executor over morsel pipelines, with deterministic
+    work accounting.
 
     The executor is this reproduction's stand-in for the paper's
     PostgreSQL instance: it really evaluates the plan (every reported row
@@ -44,10 +45,22 @@ val run :
     physical design does not provide, or uses a nested-loop join under a
     configuration that forbids it.
 
-    Base-table scans, hash-join key passes, and hash/index probes always
-    run morsel-at-a-time (4096-row chunks): per-morsel output is staged
-    per worker slot and reassembled in morsel-index order, and all
-    budgets are checked against shared totals after every morsel.
+    The plan runs as push-based pipelines (HyPer-style, Leis et al.). A
+    pipeline has a source — a base-table scan or a materialized batch —
+    a chain of hash, index-NL and NL probe stages, and a sink that
+    either materializes its input or takes COUNT and the projections'
+    MIN. A node is fused into its parent's pipeline iff it is the outer
+    (probe) input of a hash, NL or index-NL join; hash build sides and
+    merge-join inputs and outputs are materialized. Every pipeline runs
+    morsel-at-a-time (4096-row chunks of its source): each stage emits
+    into a 4096-row per-worker buffer pushed to the next stage when
+    full, so a probe-side intermediate is never stored whatever its
+    fan-out. Every stage charges its operator's work units whether or
+    not it is fused, and keeps its own row total, so [row_limit] trips on any intermediate that
+    outgrows it, stored or not. Materialized batches are assembled in
+    source-morsel order, and the hash build sides of one pipeline are
+    all live while it runs.
+
     [pool] decides only where a phase runs (HyPer-style intra-query
     parallelism): a phase over at least two morsels of input runs on
     the pool's workers when the pool has at least two domains;
@@ -69,10 +82,15 @@ val run :
     queries. Off by default; the serving engine ([lib/serve]) is the
     intended user.
 
-    [observe] is the checkpoint hook: called once per materialized plan
+    [observe] is the checkpoint hook: called once per evaluated plan
     node — in bottom-up execution order — with the node's relation
     subset, its exact row count, and the cumulative work spent so far.
-    Off by default and allocation-free when disabled. Exceptions raised
-    by the observer abort the run and propagate to the caller (they are
-    {e not} converted into a timeout result); [lib/reopt] relies on this
-    to cut execution short when a cardinality mis-estimate is detected. *)
+    An attached observer materializes every node: each pipeline then
+    holds a single stage and runs outer input first, then build side,
+    so checkpoints fire in post-order with the same work values as an
+    operator-at-a-time run. Results, work and timeouts equal the
+    pipelined run's. Off by default and allocation-free when disabled.
+    Exceptions raised by the observer abort the run and propagate to the
+    caller (they are {e not} converted into a timeout result);
+    [lib/reopt] relies on this to cut execution short when a cardinality
+    mis-estimate is detected. *)

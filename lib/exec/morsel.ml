@@ -1,10 +1,11 @@
 (* The executor's morsel scheduler: the one place intra-query work
-   distribution state lives. A phase (scan, hash build, probe) slices
-   its input into fixed-size morsels and hands them to its claimants
-   (pool workers, or the calling domain alone) through an atomic
-   cursor; per-phase work and row totals accumulate in shared counters
-   so the work/row budgets trip on the same global condition however
-   many claimants ran.
+   distribution state lives. A phase (a pipeline from a scan or stored
+   batch through probe stages to a sink, or a hash-build key pass)
+   slices its input into fixed-size morsels and hands them to its
+   claimants (pool workers, or the calling domain alone) through an
+   atomic cursor; per-phase work and per-stage row totals accumulate in
+   shared counters so the work/row budgets trip on the same global
+   condition however many claimants ran.
 
    domlint R6 confines [Atomic.fetch_and_add] to this module and
    [util/domain_pool.ml]: ad-hoc cursors elsewhere would bypass both

@@ -34,9 +34,10 @@ exception Replan of Bitset.t
 let ph_checkpoint = Obs.Trace.intern "reopt.checkpoint"
 let ph_replan = Obs.Trace.intern "reopt.replan"
 
-(* Checkpoints fire in evaluation post-order, one per materialized node
-   — every node except an Index_nl_join's inner scan (never materialized
-   on its own). *)
+(* Checkpoints fire in evaluation post-order, one per evaluated node —
+   every node except an Index_nl_join's inner scan (never evaluated on
+   its own). The observer makes every node a breaker, so all of them are
+   materialized but the root. *)
 let rec checkpoint_count (p : Plan.t) =
   match p.Plan.op with
   | Plan.Scan _ -> 1

@@ -37,6 +37,13 @@ type outcome = {
   feedback : Feedback.t;  (** Every checkpoint observed across rounds. *)
 }
 
+val checkpoint_count : Plan.t -> int
+(** How many checkpoints a complete run of the plan fires: one per plan
+    node except an index-NL join's inner scan, which is never evaluated
+    on its own. An attached observer makes every node a pipeline
+    breaker, so this is also the number of materialized nodes plus the
+    root. *)
+
 val run :
   db:Storage.Database.t ->
   graph:Query.Query_graph.t ->

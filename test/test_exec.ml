@@ -329,6 +329,56 @@ let test_undersized_hash_table_penalty () =
     true
     (fixed_under > 2 * resizing)
 
+(* The executor checked against an independent oracle: all 113 JOB
+   queries, each under its PostgreSQL-estimate plan and its
+   true-cardinality plan, run with a checkpoint observer. Every
+   checkpoint must report the Yannakakis-counted cardinality of its
+   subset, the result the full set's, and the observer must see one
+   checkpoint per evaluated node — which pins the rule that an attached
+   observer makes every node a pipeline breaker. *)
+let test_checkpoints_match_truth () =
+  let s = Core.Session.create ~seed:11 ~scale:0.001 () in
+  let db = Core.Session.db s in
+  let config =
+    {
+      Exec.Engine_config.robust with
+      Exec.Engine_config.work_limit = max_int / 2;
+      row_limit = max_int / 2;
+    }
+  in
+  List.iter
+    (fun (jq : Workload.Job.query) ->
+      let q = Core.Session.job s jq.Workload.Job.name in
+      let graph = q.Core.Session.graph in
+      let tc = Core.Session.true_cardinalities s q in
+      let truth set = int_of_float (Cardest.True_card.card tc set) in
+      List.iter
+        (fun estimator ->
+          let choice = Core.Session.optimize s ~estimator q in
+          let plan = choice.Core.Session.plan in
+          let label = Printf.sprintf "%s (%s plan)" jq.Workload.Job.name estimator in
+          let seen = ref 0 in
+          let observe set ~rows ~work:_ =
+            incr seen;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: checkpoint %s" label
+                 (String.concat "," (List.map string_of_int (Bitset.to_list set))))
+              (truth set) rows
+          in
+          let r =
+            Exec.Executor.run ~db ~graph ~config
+              ~size_est:choice.Core.Session.estimator.Cardest.Estimator.subset
+              ~observe ~projections:q.Core.Session.projections plan
+          in
+          Alcotest.(check bool) (label ^ ": finished") false
+            r.Exec.Executor.timed_out;
+          Alcotest.(check int) (label ^ ": result rows")
+            (truth (QG.full_set graph)) r.Exec.Executor.rows;
+          Alcotest.(check int) (label ^ ": one checkpoint per node")
+            (Reopt.Driver.checkpoint_count plan) !seen)
+        [ "PostgreSQL"; "true" ])
+    Workload.Job.all
+
 let test_engine_configs () =
   Alcotest.(check bool) "default allows NL" true
     Exec.Engine_config.default_9_4.Exec.Engine_config.allow_nl_join;
@@ -356,5 +406,7 @@ let suite =
     Alcotest.test_case "NL quadratic work" `Quick test_nl_charges_quadratic_work;
     Alcotest.test_case "undersized hash penalty" `Quick
       test_undersized_hash_table_penalty;
+    Alcotest.test_case "checkpoints match the truth oracle" `Slow
+      test_checkpoints_match_truth;
     Alcotest.test_case "engine configs" `Quick test_engine_configs;
   ]

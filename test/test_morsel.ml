@@ -75,7 +75,11 @@ let test_acc () =
 
 let engine = { Exec.Engine_config.robust with name = "morsel test" }
 
-let run_all db pool =
+(* A checkpoint observer that does nothing: attaching it makes every
+   plan node a pipeline breaker, so each intermediate is materialized. *)
+let no_op_observer _set ~rows:_ ~work:_ = ()
+
+let run_all ?observe db pool =
   let s = Core.Session.of_database db in
   List.map
     (fun (q : Workload.Job.query) ->
@@ -83,7 +87,12 @@ let run_all db pool =
         Core.Session.sql s ~name:q.Workload.Job.name q.Workload.Job.sql
       in
       let choice = Core.Session.optimize s query in
-      let r = Core.Session.run s ~engine ?pool query choice in
+      let r =
+        Exec.Executor.run ~db ~graph:query.Core.Session.graph ~config:engine
+          ~size_est:choice.Core.Session.estimator.Cardest.Estimator.subset
+          ?observe ?pool ~projections:query.Core.Session.projections
+          choice.Core.Session.plan
+      in
       ( q.Workload.Job.name,
         r.Exec.Executor.rows,
         r.Exec.Executor.work,
@@ -132,6 +141,29 @@ let test_workload_exec_jobs () =
     (stats.Morsel.st_phases >= 100);
   Alcotest.(check bool) "morsels were dispatched" true
     (stats.Morsel.st_dispatched > 0)
+
+(* Fused and materialized execution agree: the whole workload with no
+   observer (probe sides pipelined) against a no-op observer (every node
+   materialized), under every encoding, with no pool and with 2- and
+   4-domain pools. *)
+let test_workload_fused_vs_materialized () =
+  let base = Datagen.Imdb_gen.generate ~seed:5 ~scale:0.002 () in
+  List.iter
+    (fun enc ->
+      let db = Storage.Database.recode base enc in
+      let ename = Storage.Column.encoding_name enc in
+      let fused = run_all db None in
+      check_identical (ename ^ " materialized") fused
+        (run_all ~observe:no_op_observer db None);
+      List.iter
+        (fun domains ->
+          with_pool domains (fun p ->
+              check_identical
+                (Printf.sprintf "%s materialized, exec-jobs %d" ename domains)
+                fused
+                (run_all ~observe:no_op_observer db (Some p))))
+        [ 2; 4 ])
+    Storage.Column.all_encodings
 
 (* --- budget trips inside a pool phase ---------------------------------- *)
 
@@ -204,17 +236,94 @@ let test_work_limit_trip () =
     (Printf.sprintf "probe-side scan (%d rows) spans two morsels" scan_rows)
     true
     (scan_rows >= 2 * 4096);
-  (* The probe-side scan runs first and charges one unit per row, so
-     half its rows trips the work budget inside that scan phase. *)
+  (* The probe-side scan alone charges one unit per row, so half its
+     rows trips the work budget inside a pool phase: the build side's
+     scan or the cast_info scan-and-probe pipeline. *)
   check_trip "work limit"
     { engine with Exec.Engine_config.work_limit = scan_rows / 2 }
 
 let test_row_limit_trip () =
   let rows = (run_trip engine).Exec.Executor.rows in
   Alcotest.(check bool) "join emits rows" true (rows > 1);
-  (* Only the probe phase counts emitted rows against the row budget. *)
+  (* Only probe stages count emitted rows against the row budget. *)
   check_trip "row limit"
     { engine with Exec.Engine_config.row_limit = rows / 2 }
+
+(* --- a trip on an intermediate that is never stored --------------------- *)
+
+(* (cast_info ⋈ title) ⋈ kind_type, two hash joins over the same
+   database. Without an observer the middle join is fused between the
+   cast_info scan and the kind_type probe, so its output only ever
+   exists a chunk at a time; the kind predicate makes it far larger than
+   the result. *)
+let chain_fixture =
+  lazy
+    (let db, _, _, _, _ = Lazy.force trip_fixture in
+     let b =
+       Sqlfront.Binder.bind_sql db ~name:"chain"
+         "SELECT MIN(t.title) FROM title AS t, cast_info AS ci, kind_type AS \
+          kt WHERE t.id = ci.movie_id AND t.kind_id = kt.id AND kt.kind = \
+          'episode'"
+     in
+     let g = b.Sqlfront.Binder.graph in
+     let rel alias =
+       (List.find
+          (fun (r : Query.Query_graph.relation) ->
+            String.equal r.Query.Query_graph.alias alias)
+          (Array.to_list (Query.Query_graph.relations g)))
+         .Query.Query_graph.idx
+     in
+     let plan =
+       Plan.join Plan.Hash_join
+         ~outer:
+           (Plan.join Plan.Hash_join ~outer:(Plan.scan (rel "ci"))
+              ~inner:(Plan.scan (rel "t")))
+         ~inner:(Plan.scan (rel "kt"))
+     in
+     (db, g, b.Sqlfront.Binder.projections, plan))
+
+(* A row budget between the result and the middle join's output trips
+   on the unstored intermediate exactly as on the stored one: the same
+   timeout result pipelined or materialized, with or without a pool. *)
+let test_unstored_row_limit_trip () =
+  let db, graph, projections, plan = Lazy.force chain_fixture in
+  let exec ?observe ?pool config =
+    Exec.Executor.run ~db ~graph ~config ~size_est:(fun _ -> 1024.0) ?observe
+      ?pool ~projections plan
+  in
+  let joins = ref [] in
+  let full =
+    exec
+      ~observe:(fun set ~rows ~work:_ ->
+        if Util.Bitset.cardinal set = 2 then joins := rows :: !joins)
+      engine
+  in
+  let middle = List.hd !joins and result = full.Exec.Executor.rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "middle join (%d rows) outgrows the result (%d)" middle
+       result)
+    true
+    (middle > result + 1);
+  let config =
+    { engine with Exec.Engine_config.row_limit = (middle + result) / 2 }
+  in
+  let tripped = exec config in
+  Alcotest.(check bool) "pipelined run trips" true
+    tripped.Exec.Executor.timed_out;
+  Alcotest.(check int) "work = limit" config.Exec.Engine_config.work_limit
+    tripped.Exec.Executor.work;
+  let want = fingerprint tripped in
+  Alcotest.(check string) "materialized run trips alike" want
+    (fingerprint (exec ~observe:no_op_observer config));
+  List.iter
+    (fun domains ->
+      with_pool domains (fun p ->
+          let l = Printf.sprintf "%d domains" domains in
+          Alcotest.(check string) (l ^ ": pipelined") want
+            (fingerprint (exec ~pool:p config));
+          Alcotest.(check string) (l ^ ": materialized") want
+            (fingerprint (exec ~observe:no_op_observer ~pool:p config))))
+    [ 2; 4 ]
 
 (* --- re-optimization composes with the pool --------------------------- *)
 
@@ -282,6 +391,10 @@ let suite =
       `Quick test_work_limit_trip;
     Alcotest.test_case "row-limit trip identical and leaves the pool free"
       `Quick test_row_limit_trip;
+    Alcotest.test_case "fused and materialized runs identical" `Slow
+      test_workload_fused_vs_materialized;
+    Alcotest.test_case "row-limit trip on an unstored intermediate" `Quick
+      test_unstored_row_limit_trip;
     Alcotest.test_case "reopt trajectory identical with a pool" `Slow
       test_reopt_pool_parity;
   ]

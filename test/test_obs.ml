@@ -315,6 +315,97 @@ let test_golden_workload_identity () =
           Alcotest.failf "query %s diverged under tracing" n)
       off on
 
+(* --- executor spans under pipelines ------------------------------------ *)
+
+(* Each query runs traced with no observer (probe sides pipelined), then
+   again with one (every node materialized). Every evaluated node must
+   record an exec.* span carrying the rows its checkpoint reports; the
+   nodes fused below a pipeline's top record instants, so a pipeline's
+   wall time goes to one span. *)
+let test_exec_spans_match_checkpoints () =
+  let s = Core.Session.create ~seed:3 ~scale:0.0006 () in
+  List.iter
+    (fun name ->
+      let q = Core.Session.job s name in
+      let choice = Core.Session.optimize s q in
+      let plan = choice.Core.Session.plan in
+      let run ?observe () =
+        Exec.Executor.run ~db:(Core.Session.db s) ~graph:q.Core.Session.graph
+          ~config:Exec.Engine_config.robust
+          ~size_est:choice.Core.Session.estimator.Cardest.Estimator.subset
+          ?observe ~projections:q.Core.Session.projections plan
+      in
+      let phase_of set =
+        Plan.fold
+          (fun acc (n : Plan.t) ->
+            if Util.Bitset.equal n.Plan.set set then
+              match n.Plan.op with
+              | Plan.Scan _ -> "exec.scan"
+              | Plan.Join { algo = Plan.Hash_join; _ } -> "exec.hash_join"
+              | Plan.Join { algo = Plan.Merge_join; _ } -> "exec.merge_join"
+              | Plan.Join { algo = Plan.Nl_join; _ } -> "exec.nl_join"
+              | Plan.Join { algo = Plan.Index_nl_join; _ } ->
+                  "exec.index_nl_join"
+            else acc)
+          "?" plan
+      in
+      (* Fused: the probe input of a hash, NL or index-NL join, unless
+         it is a merge join (whose output is always stored). *)
+      let probes (n : Plan.t) =
+        match n.Plan.op with
+        | Plan.Join { algo = Plan.Merge_join; _ } -> None
+        | Plan.Join { outer; _ } -> Some outer
+        | Plan.Scan _ -> None
+      in
+      let fused =
+        Plan.fold
+          (fun acc n ->
+            match probes n with
+            | Some o when Option.is_some (probes o) -> acc + 1
+            | Some { Plan.op = Plan.Scan _; _ } -> acc + 1
+            | _ -> acc)
+          0 plan
+      in
+      Obs.Trace.set_enabled true;
+      Obs.Trace.clear ();
+      let r = run () in
+      Obs.Trace.set_enabled false;
+      let spans = span_list () in
+      let nodes =
+        List.filter
+          (fun (sp : Obs.Trace.sp) ->
+            String.starts_with ~prefix:"exec." sp.Obs.Trace.sp_phase)
+          spans
+      in
+      let checkpoints = ref [] in
+      ignore
+        (run
+           ~observe:(fun set ~rows ~work:_ ->
+             checkpoints := (phase_of set, rows) :: !checkpoints)
+           ());
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": span rows = checkpoint rows")
+        (List.sort compare !checkpoints)
+        (List.sort compare
+           (List.map
+              (fun (sp : Obs.Trace.sp) -> (sp.Obs.Trace.sp_phase, sp.Obs.Trace.sp_a))
+              nodes));
+      let instants =
+        List.length
+          (List.filter (fun (sp : Obs.Trace.sp) -> sp.Obs.Trace.sp_dur_ns = 0) nodes)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d fused nodes record instants (%d)" name fused
+           instants)
+        true (instants >= fused);
+      match List.filter (fun (sp : Obs.Trace.sp) -> sp.Obs.Trace.sp_phase = "exec") spans with
+      | [ top ] ->
+          Alcotest.(check (pair int int)) (name ^ ": exec span = result")
+            (r.Exec.Executor.rows, r.Exec.Executor.work)
+            (top.Obs.Trace.sp_a, top.Obs.Trace.sp_b)
+      | l -> Alcotest.failf "%s: %d exec spans" name (List.length l))
+    [ "1a"; "13d"; "16a"; "17a"; "25c"; "33c" ]
+
 let suite =
   merge_law_tests
   @ [ percentile_reference_test ]
@@ -328,6 +419,8 @@ let suite =
       Alcotest.test_case "exactly-once flush under 4 domains" `Quick
         test_trace_exactly_once_concurrent;
       Alcotest.test_case "export shape" `Quick test_export_shape;
+      Alcotest.test_case "exec spans carry checkpoint rows" `Quick
+        test_exec_spans_match_checkpoints;
       Alcotest.test_case "tracing never changes results" `Slow
         test_golden_workload_identity;
     ]
