@@ -162,12 +162,3 @@ let dbms_c analyze ctx =
       (Estimator.textbook_edge_selectivity
          ~dom:(dom_function analyze ctx ~exact:false))
     ~combine:Estimator.Independence ~rounding:Estimator.Clamp_one ()
-
-let by_name ?true_distinct analyze ctx name =
-  match name with
-  | "PostgreSQL" -> postgres ?true_distinct analyze ctx
-  | "DBMS A" -> dbms_a analyze ctx
-  | "DBMS B" -> dbms_b (coarse_analyze ctx.db) ctx
-  | "DBMS C" -> dbms_c analyze ctx
-  | "HyPer" -> hyper analyze ctx
-  | other -> invalid_arg (Printf.sprintf "Systems.by_name: unknown system %s" other)

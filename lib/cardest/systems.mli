@@ -56,15 +56,6 @@ val names : string list
 (** The display names, in the paper's order: PostgreSQL, DBMS A, DBMS B,
     DBMS C, HyPer. *)
 
-val by_name :
-  ?true_distinct:bool ->
-  Dbstats.Analyze.t ->
-  context ->
-  string ->
-  Estimator.t
-(** Build a system estimator by display name. Raises [Invalid_argument]
-    for unknown names. *)
-
 val coarse_analyze : Storage.Database.t -> Dbstats.Analyze.t
 (** The degraded ANALYZE configuration used by DBMS B (small sample, 10
     buckets, 5 MCVs). *)

@@ -2,13 +2,10 @@ module Bitset = Util.Bitset
 module QG = Query.Query_graph
 module GT = Group_table
 
-(* Subset-keyed memo with Bitset's own int hash (the polymorphic hash
-   would re-dispatch on every probe of the hottest table here). *)
-module Subset_table = Hashtbl.Make (Bitset)
-
+(* Exact counts indexed by the ordinals of [QG.connected_subsets]. *)
 type t = {
   graph : QG.t;
-  cards : float Subset_table.t;
+  cards : float array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -458,38 +455,33 @@ let empty_compressed =
 let compute graph =
   let n = QG.n_relations graph in
   let base_groups = Array.init n (base_compressed graph) in
-  let subsets = QG.connected_subsets graph in
-  let cards = Subset_table.create (Array.length subsets) in
-  Array.iter
-    (fun s ->
-      let members = Bitset.to_list s in
-      let card =
-        match members with
-        | [ r ] -> total base_groups.(r)
-        | _ ->
-            (* Classes from the edges inside this subset only. *)
-            let rel_classes = Classes.build_subset graph s in
-            (* Localize base groups: project onto the columns this
-               subset's edges mention and relabel them to class ids. *)
-            let local_groups = Array.make n empty_compressed in
-            List.iter
-              (fun r ->
-                let class_ids, wanted_cols = rel_classes.(r) in
-                let projected = project base_groups.(r) ~onto:wanted_cols in
-                local_groups.(r) <- { projected with classes = class_ids })
-              members;
-            let root = Join_tree.build rel_classes members in
-            if Join_tree.running_intersection rel_classes root then
-              count_acyclic rel_classes local_groups root
-            else count_cyclic rel_classes local_groups members
-      in
-      Subset_table.add cards s card)
-    subsets;
+  let count s =
+    let members = Bitset.to_list s in
+    match members with
+    | [ r ] -> total base_groups.(r)
+    | _ ->
+        (* Classes from the edges inside this subset only. *)
+        let rel_classes = Classes.build_subset graph s in
+        (* Localize base groups: project onto the columns this
+           subset's edges mention and relabel them to class ids. *)
+        let local_groups = Array.make n empty_compressed in
+        List.iter
+          (fun r ->
+            let class_ids, wanted_cols = rel_classes.(r) in
+            let projected = project base_groups.(r) ~onto:wanted_cols in
+            local_groups.(r) <- { projected with classes = class_ids })
+          members;
+        let root = Join_tree.build rel_classes members in
+        if Join_tree.running_intersection rel_classes root then
+          count_acyclic rel_classes local_groups root
+        else count_cyclic rel_classes local_groups members
+  in
+  let cards = Array.map count (QG.connected_subsets graph) in
   { graph; cards }
 
 let card t s =
-  match Subset_table.find_opt t.cards s with
-  | Some c -> c
+  match QG.subset_ordinal t.graph s with
+  | Some o -> t.cards.(o)
   | None ->
       invalid_arg
         (Format.asprintf "True_card.card: subset %a is not connected in %s"
@@ -500,4 +492,4 @@ let base t r = card t (Bitset.singleton r)
 let estimator t =
   Estimator.of_function ~name:"true" ~base:(base t) (card t)
 
-let subset_count t = Subset_table.length t.cards
+let subset_count t = Array.length t.cards

@@ -17,6 +17,9 @@ type t = {
     inner:Plan.t ->
     outer_cost:float ->
     inner_cost:float ->
+    out_card:float ->
+    outer_card:float ->
+    inner_card:float ->
     float;
 }
 
@@ -26,9 +29,10 @@ let table_rows env rel =
 let pred_count env rel = List.length (QG.relation env.graph rel).QG.preds
 
 (* Estimated matches an index-NL join retrieves before the inner
-   relation's own selection is applied: out / selectivity(inner). *)
-let unfiltered_matches env ~out_card ~inner_rel =
-  let filtered = Float.max 1e-9 (env.card (Bitset.singleton inner_rel)) in
+   relation's own selection is applied: out / selectivity(inner). The
+   inner is a base relation, so [inner_card] is its filtered size. *)
+let unfiltered_matches env ~out_card ~inner_card ~inner_rel =
+  let filtered = Float.max 1e-9 inner_card in
   let selectivity = filtered /. Float.max 1.0 (table_rows env inner_rel) in
   out_card /. Float.max 1e-9 selectivity
 
@@ -45,22 +49,18 @@ let sort_cost n =
 
 let cmm =
   let scan_cost env rel = cmm_tau *. table_rows env rel in
-  let join_cost env algo ~outer ~inner ~outer_cost ~inner_cost =
-    let out_card = env.card (Bitset.union outer.Plan.set inner.Plan.set) in
+  let join_cost env algo ~outer:_ ~inner ~outer_cost ~inner_cost ~out_card
+      ~outer_card:oc ~inner_card:ic =
     match algo with
     | Plan.Hash_join -> out_card +. outer_cost +. inner_cost
     | Plan.Merge_join ->
-        let oc = env.card outer.Plan.set and ic = env.card inner.Plan.set in
         sort_cost oc +. sort_cost ic +. oc +. ic +. out_card +. outer_cost
         +. inner_cost
-    | Plan.Nl_join ->
-        let oc = env.card outer.Plan.set and ic = env.card inner.Plan.set in
-        (oc *. ic) +. out_card +. outer_cost +. inner_cost
+    | Plan.Nl_join -> (oc *. ic) +. out_card +. outer_cost +. inner_cost
     | Plan.Index_nl_join ->
         let inner_rel = Option.get (Plan.base_rel inner) in
-        let oc = env.card outer.Plan.set in
         let lookups =
-          Float.max (unfiltered_matches env ~out_card ~inner_rel) oc
+          Float.max (unfiltered_matches env ~out_card ~inner_card:ic ~inner_rel) oc
         in
         outer_cost +. (cmm_lambda *. lookups)
   in
@@ -95,9 +95,8 @@ let pg_model ~name p =
     (pages *. p.seq_page)
     +. (rows *. (p.cpu_tuple +. (float_of_int (pred_count env rel) *. p.cpu_operator)))
   in
-  let join_cost env algo ~outer ~inner ~outer_cost ~inner_cost =
-    let out_card = env.card (Bitset.union outer.Plan.set inner.Plan.set) in
-    let oc = env.card outer.Plan.set and ic = env.card inner.Plan.set in
+  let join_cost env algo ~outer:_ ~inner ~outer_cost ~inner_cost ~out_card
+      ~outer_card:oc ~inner_card:ic =
     match algo with
     | Plan.Hash_join ->
         outer_cost +. inner_cost
@@ -118,7 +117,7 @@ let pg_model ~name p =
         let inner_rel = Option.get (Plan.base_rel inner) in
         let inner_rows = Float.max 2.0 (table_rows env inner_rel) in
         let descent = p.cpu_index_tuple *. (Float.log inner_rows /. Float.log 2.0) in
-        let matches = unfiltered_matches env ~out_card ~inner_rel in
+        let matches = unfiltered_matches env ~out_card ~inner_card:ic ~inner_rel in
         outer_cost
         +. (oc *. (descent +. p.random_page))
         +. (matches
@@ -142,12 +141,19 @@ let all = [ postgres; tuned; cmm ]
 
 let by_name name = List.find_opt (fun m -> String.equal m.name name) all
 
+let join_cost_from_env model env algo ~outer ~inner ~outer_cost ~inner_cost =
+  let out_card = env.card (Bitset.union outer.Plan.set inner.Plan.set) in
+  let outer_card = env.card outer.Plan.set in
+  let inner_card = env.card inner.Plan.set in
+  model.join_cost env algo ~outer ~inner ~outer_cost ~inner_cost ~out_card ~outer_card
+    ~inner_card
+
 let plan_cost model env plan =
   let rec go (t : Plan.t) =
     match t.Plan.op with
     | Plan.Scan rel -> model.scan_cost env rel
     | Plan.Join { algo; outer; inner } ->
-        model.join_cost env algo ~outer ~inner ~outer_cost:(go outer)
+        join_cost_from_env model env algo ~outer ~inner ~outer_cost:(go outer)
           ~inner_cost:(go inner)
   in
   go plan

@@ -34,11 +34,32 @@ type t = {
     inner:Plan.t ->
     outer_cost:float ->
     inner_cost:float ->
+    out_card:float ->
+    outer_card:float ->
+    inner_card:float ->
     float;
-      (** Total cost of the join's subtree. *)
+      (** Total cost of the join's subtree, given the children's costs
+          and the cardinalities of the join's result ([out_card]) and of
+          its outer and inner inputs. No cardinality is fetched from
+          [env.card]: callers that already hold them (the DP table) pass
+          them in. *)
 }
 
+val join_cost_from_env :
+  t ->
+  env ->
+  Plan.join_algo ->
+  outer:Plan.t ->
+  inner:Plan.t ->
+  outer_cost:float ->
+  inner_cost:float ->
+  float
+(** [join_cost] with the three cardinalities fetched from [env.card], in
+    the order result, outer, inner. *)
+
 val plan_cost : t -> env -> Plan.t -> float
+(** Total cost of a plan tree, its cardinalities fetched from [env.card]
+    node by node as in {!join_cost_from_env}. *)
 
 val postgres : t
 val tuned : t

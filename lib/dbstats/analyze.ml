@@ -35,7 +35,7 @@ let table t name =
       let sample = Sample.take t.prng tbl ~size:t.sample_size in
       let columns =
         Array.init (Storage.Table.column_count tbl) (fun col ->
-            Column_stats.build t.prng tbl ~col ~sample_rows:sample.Sample.rows
+            Column_stats.build tbl ~col ~sample_rows:sample.Sample.rows
               ~buckets:t.buckets ~mcv_entries:t.mcv_entries ())
       in
       let stats = { table = tbl; row_count = Storage.Table.row_count tbl; columns; sample } in

@@ -24,33 +24,28 @@ let duj1 ~sample_size ~table_rows ~sample_distinct ~singletons =
     if denom <= 0.0 then d else Float.min big_n (n *. d /. denom)
   end
 
-let build prng table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
-  ignore prng;
+(* The per-code sample frequencies, keyed by int with the hash the
+   polymorphic table uses, so buckets — and with them the fold order
+   that orders equally frequent MCVs — are the same. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = Hashtbl.hash x
+end)
+
+let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
   let column = Storage.Table.column table col in
   let data = Storage.Column.reader column in
   let row_count = Storage.Column.length column in
   let null_code = Storage.Value.null_code in
 
-  (* Rank translation for string columns. *)
-  let rank_of_code =
-    match Storage.Column.dict column with
-    | None -> None
-    | Some dict ->
-        let n = Storage.Dict.size dict in
-        let codes = Array.init n (fun c -> c) in
-        Array.sort
-          (fun a b -> String.compare (Storage.Dict.get dict a) (Storage.Dict.get dict b))
-          codes;
-        let ranks = Array.make n 0 in
-        Array.iteri (fun r c -> ranks.(c) <- r) codes;
-        Some ranks
-  in
-  let to_rank code =
-    match rank_of_code with None -> code | Some ranks -> ranks.(code)
-  in
+  (* Rank translation for string columns, shared by every ANALYZE of
+     the column. *)
+  let rank_of_code = Option.map Storage.Dict.ranks (Storage.Column.dict column) in
 
   (* Sample pass: frequencies per code. *)
-  let freqs = Hashtbl.create 512 in
+  let freqs = Int_table.create 512 in
   let nulls = ref 0 in
   let non_null = ref 0 in
   Array.iter
@@ -59,17 +54,17 @@ let build prng table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () 
       if v = null_code then incr nulls
       else begin
         incr non_null;
-        match Hashtbl.find_opt freqs v with
-        | Some c -> Hashtbl.replace freqs v (c + 1)
-        | None -> Hashtbl.add freqs v 1
+        match Int_table.find_opt freqs v with
+        | Some c -> Int_table.replace freqs v (c + 1)
+        | None -> Int_table.add freqs v 1
       end)
     sample_rows;
   let sample_size = Array.length sample_rows in
   let null_fraction =
     if sample_size = 0 then 0.0 else float_of_int !nulls /. float_of_int sample_size
   in
-  let sample_distinct = Hashtbl.length freqs in
-  let singletons = Hashtbl.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 in
+  let sample_distinct = Int_table.length freqs in
+  let singletons = Int_table.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 in
   let distinct_sampled =
     Float.max 1.0
       (duj1 ~sample_size:!non_null ~table_rows:row_count ~sample_distinct ~singletons)
@@ -77,28 +72,33 @@ let build prng table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () 
   let distinct_exact = Float.max 1.0 (float_of_int (Storage.Column.distinct_count column)) in
 
   (* MCVs: codes seen at least twice in the sample, most frequent first. *)
-  let pairs = Hashtbl.fold (fun code c acc -> (code, c) :: acc) freqs [] in
+  let pairs = Int_table.fold (fun code c acc -> (code, c) :: acc) freqs [] in
   let pairs = List.filter (fun (_, c) -> c >= 2) pairs in
   let pairs = List.sort (fun (_, a) (_, b) -> compare b a) pairs in
+  let top = List.filteri (fun i _ -> i < mcv_entries) pairs in
   let mcv =
-    pairs
-    |> List.filteri (fun i _ -> i < mcv_entries)
-    |> List.map (fun (code, c) ->
-           (code, float_of_int c /. float_of_int (max 1 sample_size)))
-    |> Array.of_list
-  in
-  let mcv_codes = Hashtbl.create 32 in
-  Array.iter (fun (code, _) -> Hashtbl.replace mcv_codes code ()) mcv;
-
-  (* Histogram over the non-MCV part of the sample, in rank space. *)
-  let hist_values =
     Array.of_list
-      (Array.fold_left
-         (fun acc row ->
-           let v = data row in
-           if v = null_code || Hashtbl.mem mcv_codes v then acc else to_rank v :: acc)
-         [] sample_rows)
+      (List.map
+         (fun (code, c) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
+         top)
   in
+  let mcv_codes = Int_table.create 32 in
+  Array.iter (fun (code, _) -> Int_table.replace mcv_codes code ()) mcv;
+
+  (* Histogram over the non-MCV part of the sample, in rank space: the
+     non-NULL rows less the MCVs' sample counts. *)
+  let hist_values =
+    Array.make (List.fold_left (fun acc (_, c) -> acc - c) !non_null top) 0
+  in
+  let filled = ref 0 in
+  Array.iter
+    (fun row ->
+      let v = data row in
+      if v <> null_code && not (Int_table.mem mcv_codes v) then begin
+        hist_values.(!filled) <- (match rank_of_code with None -> v | Some r -> r.(v));
+        incr filled
+      end)
+    sample_rows;
   let histogram = Histogram.build ~buckets hist_values in
   {
     row_count;
@@ -121,10 +121,5 @@ let rank t code = match t.rank_of_code with None -> code | Some ranks -> ranks.(
 
 let rank_of_string t column s =
   match (t.rank_of_code, Storage.Column.dict column) with
-  | Some ranks, Some dict ->
-      (* Count dictionary entries strictly smaller than s. *)
-      let smaller = ref 0 in
-      Storage.Dict.iter (fun _ entry -> if String.compare entry s < 0 then incr smaller) dict;
-      ignore ranks;
-      !smaller
+  | Some _, Some dict -> Storage.Dict.count_below dict s
   | _ -> invalid_arg "Column_stats.rank_of_string: not a string column"

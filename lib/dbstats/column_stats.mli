@@ -20,11 +20,11 @@ type t = {
           columns); built from the non-MCV part of the sample. *)
   rank_of_code : int array option;
       (** For string columns: [rank_of_code.(code)] is the code's
-          lexicographic rank in the dictionary. *)
+          lexicographic rank in the dictionary. Shared with the
+          dictionary ({!Storage.Dict.ranks}); must not be mutated. *)
 }
 
 val build :
-  Util.Prng.t ->
   Storage.Table.t ->
   col:int ->
   sample_rows:int array ->
@@ -45,4 +45,5 @@ val rank : t -> int -> int
 val rank_of_string : t -> Storage.Column.t -> string -> int
 (** Rank a string constant would occupy in the column's dictionary order
     (for estimating [col < 'foo'] when ['foo'] itself is not stored).
-    Returns the rank of the smallest dictionary entry [>=] the constant. *)
+    Returns the rank of the smallest dictionary entry [>=] the constant:
+    the number of entries strictly smaller, by binary search. *)

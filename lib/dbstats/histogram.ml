@@ -4,7 +4,7 @@ let build ~buckets values =
   if Array.length values = 0 then None
   else begin
     let sorted = Array.copy values in
-    Array.sort compare sorted;
+    Util.Radix.sort sorted;
     let n = Array.length sorted in
     let buckets = max 1 (min buckets n) in
     let bounds =

@@ -15,6 +15,9 @@ type t = {
   allow_nl : bool;
   allow_hash : bool;  (** PostgreSQL's [enable_hashjoin]; sort-merge steps in when off. *)
   shape : shape_limit;
+  inl_from : Util.Bitset.t array;
+      (** [inl_from.(r)]: relations joined to [r] by an edge whose column
+          on [r]'s side is indexed, fixed when the context is created. *)
 }
 
 val create :
@@ -32,9 +35,28 @@ val inl_possible : t -> outer:Plan.t -> inner:Plan.t -> bool
 (** Inner is a base scan and an index exists on one of the join edges'
     inner columns. *)
 
+val shape_allows : t -> outer:Plan.t -> inner:Plan.t -> bool
+(** Whether the shape limit admits a join of [outer] with [inner]. *)
+
+val cheapest_algo :
+  t ->
+  outer:Plan.t ->
+  inner:Plan.t ->
+  outer_cost:float ->
+  inner_cost:float ->
+  out_card:float ->
+  outer_card:float ->
+  inner_card:float ->
+  Plan.join_algo * float
+(** The cheapest legal join algorithm for [outer] joined with [inner]
+    and its cost, without allocating the join. On equal cost the
+    preference is NL, then INL, then merge, then hash. Shape limits are
+    not checked. *)
+
 val best_join : t -> outer:Plan.t * float -> inner:Plan.t * float -> (Plan.t * float) option
 (** Cheapest legal join of [outer] with [inner] (in this orientation), or
-    [None] when no join method is legal. Shape limits are enforced. *)
+    [None] when the shape limit forbids it. The cardinalities are fetched
+    from [env.card] in the order result, outer, inner. *)
 
 val best_join_any_orientation :
   t -> Plan.t * float -> Plan.t * float -> (Plan.t * float) option

@@ -50,8 +50,25 @@ val edges_between : t -> Util.Bitset.t -> Util.Bitset.t -> edge list
     that [left] lies in the first subset. *)
 
 val connected_subsets : t -> Util.Bitset.t array
-(** All connected non-empty subsets, sorted by cardinality then value.
-    For our capped queries this is at most a few thousand masks. *)
+(** All connected non-empty subsets, sorted by cardinality then value:
+    the singletons come first, relation [r] at position [r], and the
+    full set last. A subset's position is its {e ordinal}. Enumerated
+    once per graph (DPccp's EnumerateCsg, never a scan of all [2^n]
+    masks) and shared by every caller: the array must not be mutated.
+    The split lists ({!iter_splits}) are kept off the OCaml heap. Raises
+    [Invalid_argument] for a graph with more than [2^20] connected
+    subsets. *)
+
+val subset_ordinal : t -> Util.Bitset.t -> int option
+(** Position of a subset in {!connected_subsets} (binary search);
+    [None] when the subset is empty or not connected. *)
+
+val iter_splits : t -> int -> (int -> int -> unit) -> unit
+(** [iter_splits t o f] calls [f outer inner] for every way to split the
+    connected subset of ordinal [o] into two connected halves, given as
+    ordinals: DPccp's csg-cmp pairs, in both orientations. The splits
+    come by the outer half's mask, descending — the order in which
+    submask enumeration meets them. None for singletons. *)
 
 val join_columns : t -> int -> int list
 (** Columns of a relation that participate in any join edge (sorted,

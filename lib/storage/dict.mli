@@ -26,3 +26,12 @@ val iter : (int -> string -> unit) -> t -> unit
 val matching_codes : t -> (string -> bool) -> bool array
 (** [matching_codes d p] is a bitmap indexed by code, true where the
     decoded string satisfies [p]. Used to compile LIKE predicates. *)
+
+val ranks : t -> int array
+(** [ranks d].(code) is the code's rank in lexicographic ([String.compare])
+    order of the dictionary's strings. Computed once and shared until the
+    next new string is interned: the array must not be mutated. *)
+
+val count_below : t -> string -> int
+(** Number of dictionary strings strictly smaller than the given one
+    (binary search over the lexicographic order). *)

@@ -49,7 +49,7 @@ let check ?(subject = "cost") ?reported_cost (env : Cost.Cost_model.env)
         let outer_cost = walk outer in
         let inner_cost = walk inner in
         let cost =
-          model.Cost.Cost_model.join_cost env algo ~outer ~inner ~outer_cost
+          Cost.Cost_model.join_cost_from_env model env algo ~outer ~inner ~outer_cost
             ~inner_cost
         in
         node_ok (Plan.algo_to_string algo) node.Plan.set cost;

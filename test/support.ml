@@ -152,3 +152,16 @@ let brute_force_count graph subset =
 
 let qcheck_case ?(count = 30) ~name arbitrary law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary law)
+
+(* One of the five emulated systems by display name, through the
+   registry; DBMS B gets its own cold coarse ANALYZE. *)
+let system_estimator db analyze graph name =
+  Core.Registry.find_exn Core.Registry.estimators name
+    {
+      Core.Registry.db;
+      analyze;
+      coarse = Cardest.Systems.coarse_analyze db;
+      graph;
+      truth = Util.Once.make (fun () -> Cardest.True_card.compute graph);
+      feedback = None;
+    }

@@ -177,7 +177,7 @@ let test_selectivity_mcv_equality () =
   let col = Storage.Table.column_index t "country_code" in
   let column = Storage.Table.column t col in
   let stats =
-    Dbstats.Column_stats.build (Util.Prng.create 3) t ~col
+    Dbstats.Column_stats.build t ~col
       ~sample_rows:(Array.init (Storage.Table.row_count t) (fun i -> i))
       ()
   in
@@ -201,7 +201,7 @@ let test_selectivity_or_formula () =
   let t = Storage.Database.find_table db "title" in
   let col = Storage.Table.column_index t "production_year" in
   let stats =
-    Dbstats.Column_stats.build (Util.Prng.create 3) t ~col
+    Dbstats.Column_stats.build t ~col
       ~sample_rows:(Array.init (Storage.Table.row_count t) (fun i -> i))
       ()
   in
@@ -229,7 +229,7 @@ let test_selectivity_bounds =
       let t = Storage.Database.find_table db "title" in
       let col = Storage.Table.column_index t "production_year" in
       let stats =
-        Dbstats.Column_stats.build (Util.Prng.create 3) t ~col
+        Dbstats.Column_stats.build t ~col
           ~sample_rows:(Array.init (Storage.Table.row_count t) (fun i -> i))
           ()
       in
@@ -255,10 +255,9 @@ let job_context () =
 
 let test_all_systems_positive_finite () =
   let db, analyze, graph = job_context () in
-  let ctx = { Cardest.Systems.db; graph } in
   List.iter
     (fun name ->
-      let est = Cardest.Systems.by_name analyze ctx name in
+      let est = Support.system_estimator db analyze graph name in
       Array.iter
         (fun s ->
           let v = est.Cardest.Estimator.subset s in

@@ -33,7 +33,7 @@ let test_cmm_hash_join () =
   let e = List.hd (QG.edges g) in
   let outer = Plan.scan e.QG.left and inner = Plan.scan e.QG.right in
   let cost =
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Hash_join ~outer ~inner
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Hash_join ~outer ~inner
       ~outer_cost:10.0 ~inner_cost:20.0
   in
   Alcotest.(check (Alcotest.float 1e-9)) "|T| + C1 + C2" (123.0 +. 10.0 +. 20.0) cost
@@ -45,7 +45,7 @@ let test_cmm_merge_join () =
   let e = List.hd (QG.edges g) in
   let outer = Plan.scan e.QG.left and inner = Plan.scan e.QG.right in
   let cost =
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Merge_join ~outer
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Merge_join ~outer
       ~inner ~outer_cost:0.0 ~inner_cost:0.0
   in
   (* 2 * (64 log2 64) + 64 + 64 + 100 = 768 + 228 *)
@@ -54,7 +54,7 @@ let test_cmm_merge_join () =
     cost;
   (* With equal cards, hashing must look cheaper than sorting. *)
   let hash =
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Hash_join ~outer
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Hash_join ~outer
       ~inner ~outer_cost:0.0 ~inner_cost:0.0
   in
   Alcotest.(check bool) "hash cheaper" true (hash < cost)
@@ -66,7 +66,7 @@ let test_cmm_nl_join () =
   let e = List.hd (QG.edges g) in
   let outer = Plan.scan e.QG.left and inner = Plan.scan e.QG.right in
   let cost =
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Nl_join ~outer ~inner
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Nl_join ~outer ~inner
       ~outer_cost:0.0 ~inner_cost:0.0
   in
   Alcotest.(check (Alcotest.float 1e-9)) "|T1||T2| + |T|" ((50.0 *. 50.0) +. 100.0) cost
@@ -79,7 +79,7 @@ let test_cmm_inl_join () =
   let e = List.hd (QG.edges g) in
   let outer = Plan.scan e.QG.left and inner = Plan.scan e.QG.right in
   let cost =
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Index_nl_join ~outer
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Index_nl_join ~outer
       ~inner ~outer_cost:7.0 ~inner_cost:999.0
   in
   (* Inner cost is replaced by lookups: 7 + lambda * max(80, 50). *)
@@ -95,7 +95,7 @@ let test_plan_cost_composition () =
   let join = Plan.join Plan.Hash_join ~outer ~inner in
   let model = Cost.Cost_model.cmm in
   let manual =
-    model.Cost.Cost_model.join_cost env Plan.Hash_join ~outer ~inner
+    Cost.Cost_model.join_cost_from_env model env Plan.Hash_join ~outer ~inner
       ~outer_cost:(model.Cost.Cost_model.scan_cost env e.QG.left)
       ~inner_cost:(model.Cost.Cost_model.scan_cost env e.QG.right)
   in
@@ -137,7 +137,7 @@ let test_costs_monotone_in_cardinality () =
   let cost out_card =
     let card s = if Bitset.cardinal s = 1 then 50.0 else out_card in
     let env = env_of g db card in
-    Cost.Cost_model.cmm.Cost.Cost_model.join_cost env Plan.Hash_join ~outer ~inner
+    Cost.Cost_model.join_cost_from_env Cost.Cost_model.cmm env Plan.Hash_join ~outer ~inner
       ~outer_cost:0.0 ~inner_cost:0.0
   in
   Alcotest.(check bool) "bigger output costs more" true (cost 1e6 > cost 10.0)

@@ -74,12 +74,10 @@ let test_histogram_cmp_consistency () =
 (* --- Column_stats ----------------------------------------------------------------- *)
 
 let stats_of table col =
-  let prng = Util.Prng.create 3 in
   let t = Storage.Database.find_table (Lazy.force Support.imdb_mid) table in
   let n = Storage.Table.row_count t in
   let sample_rows = Array.init n (fun i -> i) in
-  ignore prng;
-  Dbstats.Column_stats.build (Util.Prng.create 3) t
+  Dbstats.Column_stats.build t
     ~col:(Storage.Table.column_index t col)
     ~sample_rows ()
 
@@ -127,6 +125,167 @@ let test_rank_of_string_boundary () =
   let r_high = Dbstats.Column_stats.rank_of_string s column "zzzz" in
   Alcotest.(check bool) "low below high" true (r_low < r_high)
 
+(* Every string in the dictionary, each with a byte appended, each with
+   its last byte dropped, and the extremes: [rank_of_string] must count
+   exactly the entries below each, as a linear scan does. *)
+let test_rank_of_string_linear () =
+  let db = Lazy.force Support.imdb_mid in
+  List.iter
+    (fun (table, col) ->
+      let t = Storage.Database.find_table db table in
+      let column = Storage.Table.column t (Storage.Table.column_index t col) in
+      let s = stats_of table col in
+      let dict = Option.get (Storage.Column.dict column) in
+      let linear probe =
+        let smaller = ref 0 in
+        Storage.Dict.iter (fun _ e -> if String.compare e probe < 0 then incr smaller) dict;
+        !smaller
+      in
+      let probes = ref [ ""; "\255\255"; "0.0"; "zzzz" ] in
+      Storage.Dict.iter
+        (fun _ e ->
+          probes := e :: (e ^ "\000") :: (e ^ "~") :: !probes;
+          if e <> "" then probes := String.sub e 0 (String.length e - 1) :: !probes)
+        dict;
+      List.iter
+        (fun probe ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s.%s rank of %S" table col probe)
+            (linear probe)
+            (Dbstats.Column_stats.rank_of_string s column probe))
+        !probes)
+    [ ("movie_info_idx", "info"); ("kind_type", "kind"); ("company_name", "country_code") ]
+
+(* [Column_stats.build] as it was: a polymorphic frequency table, the
+   histogram gathered through a list and sorted with polymorphic
+   [compare], and the rank translation sorted afresh for each build. *)
+let reference_build table ~col ~sample_rows ~buckets ~mcv_entries =
+  let column = Storage.Table.column table col in
+  let data = Storage.Column.reader column in
+  let row_count = Storage.Column.length column in
+  let null_code = Storage.Value.null_code in
+  let rank_of_code =
+    match Storage.Column.dict column with
+    | None -> None
+    | Some dict ->
+        let n = Storage.Dict.size dict in
+        let codes = Array.init n (fun c -> c) in
+        Array.sort
+          (fun a b -> String.compare (Storage.Dict.get dict a) (Storage.Dict.get dict b))
+          codes;
+        let ranks = Array.make n 0 in
+        Array.iteri (fun r c -> ranks.(c) <- r) codes;
+        Some ranks
+  in
+  let to_rank code = match rank_of_code with None -> code | Some ranks -> ranks.(code) in
+  let freqs = Hashtbl.create 512 in
+  let nulls = ref 0 and non_null = ref 0 in
+  Array.iter
+    (fun row ->
+      let v = data row in
+      if v = null_code then incr nulls
+      else begin
+        incr non_null;
+        match Hashtbl.find_opt freqs v with
+        | Some c -> Hashtbl.replace freqs v (c + 1)
+        | None -> Hashtbl.add freqs v 1
+      end)
+    sample_rows;
+  let sample_size = Array.length sample_rows in
+  let null_fraction =
+    if sample_size = 0 then 0.0 else float_of_int !nulls /. float_of_int sample_size
+  in
+  let sample_distinct = Hashtbl.length freqs in
+  let singletons = Hashtbl.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 in
+  let distinct_sampled =
+    let n = !non_null in
+    Float.max 1.0
+      (if n = 0 then 0.0
+       else if n >= row_count then float_of_int sample_distinct
+       else begin
+         let n = float_of_int n and big_n = float_of_int row_count in
+         let d = float_of_int sample_distinct and f1 = float_of_int singletons in
+         let denom = n -. f1 +. (f1 *. n /. big_n) in
+         if denom <= 0.0 then d else Float.min big_n (n *. d /. denom)
+       end)
+  in
+  let distinct_exact = Float.max 1.0 (float_of_int (Storage.Column.distinct_count column)) in
+  let pairs = Hashtbl.fold (fun code c acc -> (code, c) :: acc) freqs [] in
+  let pairs = List.filter (fun (_, c) -> c >= 2) pairs in
+  let pairs = List.sort (fun (_, a) (_, b) -> compare b a) pairs in
+  let mcv =
+    pairs
+    |> List.filteri (fun i _ -> i < mcv_entries)
+    |> List.map (fun (code, c) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
+    |> Array.of_list
+  in
+  let mcv_codes = Hashtbl.create 32 in
+  Array.iter (fun (code, _) -> Hashtbl.replace mcv_codes code ()) mcv;
+  let hist_values =
+    Array.of_list
+      (Array.fold_left
+         (fun acc row ->
+           let v = data row in
+           if v = null_code || Hashtbl.mem mcv_codes v then acc else to_rank v :: acc)
+         [] sample_rows)
+  in
+  let bounds =
+    if Array.length hist_values = 0 then None
+    else begin
+      let sorted = Array.copy hist_values in
+      Array.sort compare sorted;
+      let n = Array.length sorted in
+      let buckets = max 1 (min buckets n) in
+      Some (Array.init (buckets + 1) (fun i -> sorted.(i * (n - 1) / buckets)))
+    end
+  in
+  (row_count, null_fraction, distinct_sampled, distinct_exact, mcv, bounds, rank_of_code)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every statistic of every column of every table, for the default and
+   the coarse ANALYZE, at two scales: equal to the reference build on
+   the same sample, field for field. *)
+let test_column_stats_identity () =
+  List.iter
+    (fun scale ->
+      let db = Support.fresh_imdb ~scale () in
+      List.iter
+        (fun (label, analyze, buckets, mcv_entries) ->
+          List.iter
+            (fun name ->
+              let stats = Dbstats.Analyze.table analyze name in
+              let sample_rows = stats.Dbstats.Analyze.sample.Dbstats.Sample.rows in
+              Array.iteri
+                (fun col (cs : Dbstats.Column_stats.t) ->
+                  let what =
+                    Printf.sprintf "scale %g, %s, %s column %d" scale label name col
+                  in
+                  let rows, nulls, sampled, exact, mcv, bounds, ranks =
+                    reference_build stats.Dbstats.Analyze.table ~col ~sample_rows ~buckets
+                      ~mcv_entries
+                  in
+                  let ok =
+                    rows = cs.row_count
+                    && same_float nulls cs.null_fraction
+                    && same_float sampled cs.distinct_sampled
+                    && same_float exact cs.distinct_exact
+                    && Array.length mcv = Array.length cs.mcv
+                    && Array.for_all2
+                         (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2)
+                         mcv cs.mcv
+                    && bounds = Option.map Dbstats.Histogram.bounds cs.histogram
+                    && ranks = cs.rank_of_code
+                  in
+                  if not ok then Alcotest.failf "%s differs from the reference build" what)
+                stats.Dbstats.Analyze.columns)
+            (Storage.Database.table_names db))
+        [
+          ("default", Dbstats.Analyze.create db, 100, 100);
+          ("coarse", Cardest.Systems.coarse_analyze db, 10, 5);
+        ])
+    [ 0.001; 0.005 ]
+
 (* --- Analyze ------------------------------------------------------------------------- *)
 
 let test_analyze_caching () =
@@ -162,6 +321,8 @@ let suite =
     Alcotest.test_case "stats distinct" `Quick test_column_stats_distinct_exact;
     Alcotest.test_case "stats ranks" `Quick test_column_stats_ranks;
     Alcotest.test_case "rank of string" `Quick test_rank_of_string_boundary;
+    Alcotest.test_case "rank of string = linear count" `Quick test_rank_of_string_linear;
+    Alcotest.test_case "column stats = reference build" `Quick test_column_stats_identity;
     Alcotest.test_case "analyze caching" `Quick test_analyze_caching;
     Alcotest.test_case "analyze column access" `Quick test_analyze_column_access;
   ]

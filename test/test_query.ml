@@ -287,6 +287,65 @@ let star_subsets =
       (* hub + any leaf set: 2^leaves; single leaves: leaves *)
       Array.length (QG.connected_subsets g) = (1 lsl leaves) + leaves)
 
+(* Brute-force plan space: every connected mask by a scan of all 2^n
+   masks, ordered by (size, mask), and for each the splits DPsub's
+   submask loop accepts — both halves connected and joined by an edge —
+   in its visiting order, outer half descending. *)
+let brute_force_space g =
+  let n = QG.n_relations g in
+  let masks = List.init (Bitset.full n) (fun m -> m + 1) in
+  let subsets = Array.of_list (List.filter (QG.is_connected g) masks) in
+  Array.sort (fun a b -> compare (Bitset.cardinal a, a) (Bitset.cardinal b, b)) subsets;
+  let splits s =
+    let out = ref [] in
+    Bitset.subsets_iter s (fun s1 ->
+        let s2 = Bitset.diff s s1 in
+        if
+          QG.is_connected g s1 && QG.is_connected g s2
+          && not (Bitset.disjoint (QG.neighbors g s1) s2)
+        then out := (s1, s2) :: !out);
+    List.rev !out
+  in
+  (subsets, splits)
+
+(* The enumerated space, with split ordinals mapped back to masks. *)
+let space_matches_brute_force g =
+  let subsets, brute_splits = brute_force_space g in
+  let got = QG.connected_subsets g in
+  got = subsets
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun o s ->
+            let pairs = ref [] in
+            QG.iter_splits g o (fun o1 o2 -> pairs := (got.(o1), got.(o2)) :: !pairs);
+            QG.subset_ordinal g s = Some o && List.rev !pairs = brute_splits s)
+          got)
+
+let test_plan_space_job () =
+  let db = Lazy.force Support.imdb in
+  List.iter
+    (fun (q : Workload.Job.query) ->
+      let g =
+        (Sqlfront.Binder.bind_sql db ~name:q.Workload.Job.name q.Workload.Job.sql)
+          .Sqlfront.Binder.graph
+      in
+      if not (space_matches_brute_force g) then
+        Alcotest.failf "plan space of %s differs from brute force" q.Workload.Job.name)
+    Workload.Job.all
+
+let plan_space_random =
+  Support.qcheck_case ~count:60 ~name:"plan space = brute force (random cyclic)"
+    QCheck.(triple small_int (int_range 1 8) (int_range 0 6))
+    (fun (seed, relations, extra_edges) ->
+      let prng = Util.Prng.create seed in
+      let db = Support.micro_db prng ~tables:relations ~rows:5 in
+      let g = Support.micro_query prng db ~relations ~extra_edges in
+      space_matches_brute_force g
+      && List.for_all
+           (fun mask -> (QG.subset_ordinal g mask <> None) = QG.is_connected g mask)
+           (List.init (1 lsl relations) Fun.id)
+      && (relations < 2 || QG.subset_ordinal g (Bitset.full relations) <> None))
+
 (* Reference LIKE implementation: naive exponential recursion. Safe for
    the tiny strings qcheck generates. *)
 let rec reference_like p s pi si =
@@ -334,4 +393,6 @@ let suite =
     edges_between_symmetric;
     predicate_compile_matches_interpreter;
     star_subsets;
+    Alcotest.test_case "plan space = brute force (JOB)" `Quick test_plan_space_job;
+    plan_space_random;
   ]

@@ -222,6 +222,20 @@ let bitset_roundtrip =
   Support.qcheck_case ~name:"bitset of_list/to_list roundtrip" small_set
     (fun s -> Util.Bitset.of_list (Util.Bitset.to_list s) = s)
 
+(* Full-range ints (negatives and values that differ only in high bytes
+   included) and small ones (most byte passes skipped). *)
+let radix_sort_matches_compare =
+  Support.qcheck_case ~count:200 ~name:"Radix.sort = Array.sort compare"
+    QCheck.(pair (array_of_size Gen.(0 -- 600) int) (array_of_size Gen.(0 -- 600) small_nat))
+    (fun (wide, narrow) ->
+      List.for_all
+        (fun a ->
+          let expected = Array.copy a in
+          Array.sort compare expected;
+          Util.Radix.sort a;
+          a = expected)
+        [ wide; narrow; Array.map (fun x -> x lsl 40) narrow ])
+
 let test_bitset_subsets_iter () =
   let s = Util.Bitset.of_list [ 0; 2; 5 ] in
   let seen = ref [] in
@@ -382,6 +396,7 @@ let suite =
     bitset_cardinal;
     bitset_roundtrip;
     Alcotest.test_case "bitset subsets_iter" `Quick test_bitset_subsets_iter;
+    radix_sort_matches_compare;
     Alcotest.test_case "bitset lowest/full" `Quick test_bitset_lowest;
     shard_map_laws;
     shard_map_capacity_backstop;

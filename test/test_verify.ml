@@ -54,10 +54,9 @@ let system_estimators_accepted =
     (fun seed ->
       let db, g = micro ~relations:3 seed in
       let analyze = Dbstats.Analyze.create db in
-      let ctx = { Cardest.Systems.db; graph = g } in
       List.for_all
         (fun name ->
-          let est = Cardest.Systems.by_name analyze ctx name in
+          let est = Support.system_estimator db analyze g name in
           Verify.Violation.ok (Verify.check_estimates g est))
         Cardest.Systems.names)
 
@@ -249,7 +248,9 @@ let test_rejects_broken_cost_model () =
     {
       Cost.Cost_model.name = "negative";
       scan_cost = (fun _ _ -> -1.0);
-      join_cost = (fun _ _ ~outer:_ ~inner:_ ~outer_cost:_ ~inner_cost:_ -> -5.0);
+      join_cost =
+        (fun _ _ ~outer:_ ~inner:_ ~outer_cost:_ ~inner_cost:_ ~out_card:_ ~outer_card:_
+             ~inner_card:_ -> -5.0);
     }
   in
   let r = Verify.check_costs env negative plan in
@@ -260,7 +261,9 @@ let test_rejects_broken_cost_model () =
     {
       Cost.Cost_model.name = "forgetful";
       scan_cost = (fun env r -> Cost.Cost_model.cmm.Cost.Cost_model.scan_cost env r);
-      join_cost = (fun _ _ ~outer:_ ~inner:_ ~outer_cost:_ ~inner_cost:_ -> 0.5);
+      join_cost =
+        (fun _ _ ~outer:_ ~inner:_ ~outer_cost:_ ~inner_cost:_ ~out_card:_ ~outer_card:_
+             ~inner_card:_ -> 0.5);
     }
   in
   let r = Verify.check_costs env forgetful plan in
