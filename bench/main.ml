@@ -12,6 +12,11 @@
    per-experiment per-side median (still cold-cache times — the repeats
    only strip scheduler and GC-pacing noise).
 
+   Every mode runs under OCaml's default GC settings, as the library
+   and the CLI do: the executor's per-row kernels allocate nothing, so
+   a larger minor heap would save few collections and add a heap's
+   worth of resident memory per domain.
+
      dune exec bench/main.exe                 -- everything, full scale
      dune exec bench/main.exe -- --scale 0.2  -- smaller database
      dune exec bench/main.exe -- -j 1         -- serial, no comparison
@@ -563,11 +568,6 @@ let sweep_run_queries db =
   (fingerprints, wall_ms, cpu_ms, allocated)
 
 let run_scale_sweep ~seed scales =
-  (* Same GC tuning the worker domains get (Domain_pool.tune_gc): a big
-     minor heap and a relaxed space_overhead keep major-GC pacing from
-     dominating the timed passes. *)
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 4_194_304; space_overhead = 200 };
   let mismatches = ref 0 in
   let steps =
     List.map
@@ -716,8 +716,6 @@ let morsel_run_queries s planned ~pool =
   (fingerprints, walls, stats)
 
 let run_morsel_sweep ~seed ~jobs_list scales =
-  Gc.set
-    { (Gc.get ()) with Gc.minor_heap_size = 4_194_304; space_overhead = 200 };
   let jobs_list = match jobs_list with [] -> [ 1 ] | l -> l in
   let mismatches = ref 0 in
   let steps =
@@ -1013,25 +1011,18 @@ let () =
     failwith "--morsel-jobs entries must be >= 1";
   (match !sweep with
   | Some scales ->
-      Util.Domain_pool.tune_gc ();
       run_scale_sweep ~seed:!seed scales;
       exit 0
   | None -> ());
   (match !morsel_sweep with
   | Some scales ->
-      Util.Domain_pool.tune_gc ();
       run_morsel_sweep ~seed:!seed ~jobs_list:!morsel_jobs scales;
       exit 0
   | None -> ());
   if !obs_gate then begin
-    Util.Domain_pool.tune_gc ();
     run_obs_gate ~seed:!seed ~scale:!scale;
     exit 0
   end;
-  (* Pool workers tune their GC on spawn; the main domain executes the
-     serial halves and its share of parallel maps, so it runs under the
-     same regime. *)
-  Util.Domain_pool.tune_gc ();
   let t0 = Unix.gettimeofday () in
   Printf.printf
     "Join Order Benchmark reproduction - regenerating all paper results\n\

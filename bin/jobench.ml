@@ -194,7 +194,6 @@ let run_cmd =
   let run scale seed data indexes estimator model enumerator engine exec_jobs
       trace name =
     let exec_jobs = resolve_exec_jobs exec_jobs in
-    if exec_jobs > 1 then Util.Domain_pool.tune_gc ();
     let pool =
       if exec_jobs > 1 then Some (Util.Domain_pool.create ~domains:exec_jobs)
       else None
@@ -234,7 +233,6 @@ let trace_cmd =
   let run scale seed data indexes estimator model enumerator engine exec_jobs
       out name =
     let exec_jobs = resolve_exec_jobs exec_jobs in
-    if exec_jobs > 1 then Util.Domain_pool.tune_gc ();
     let pool =
       if exec_jobs > 1 then Some (Util.Domain_pool.create ~domains:exec_jobs)
       else None
@@ -511,8 +509,10 @@ let experiment_cmd =
     let doc =
       "After rendering, print this domain's GC counters (allocated words, \
        minor/major collections) — the figure of merit for the \
-       allocation-free executor and true-cardinality kernels — plus the \
-       hash-join load-factor and morsel-scheduler telemetry."
+       allocation-free executor and true-cardinality kernels — its \
+       effective GC settings (minor heap size, space overhead) and peak \
+       major heap, plus the hash-join load-factor and morsel-scheduler \
+       telemetry."
     in
     Arg.(value & flag & info [ "gc-stats" ] ~doc)
   in
@@ -528,9 +528,6 @@ let experiment_cmd =
   in
   let run scale seed verify stats gc_stats reopt_threshold jobs exec_jobs
       trace id =
-    (* Workers tune their GC on spawn; the caller participates in every
-       parallel map, so it needs the same treatment. *)
-    Util.Domain_pool.tune_gc ();
     Atomic.set Experiments.Harness.debug_verify verify;
     if reopt_threshold < 1.0 then
       invalid_arg "jobench experiment: --reopt-threshold must be >= 1.0";
@@ -574,6 +571,13 @@ let experiment_cmd =
             (g.Gc.minor_words *. 8.0 /. 1048576.0)
             ((g.Gc.major_words -. g.Gc.promoted_words) *. 8.0 /. 1048576.0)
             g.Gc.minor_collections g.Gc.major_collections g.Gc.compactions;
+          (* The effective settings and the major heap's peak, so a log
+             shows which GC regime a run had and how big its heap got. *)
+          let p = Gc.get () in
+          Printf.printf
+            "--- gc settings: minor_heap_size %d words, space_overhead %d, \
+             top_heap_words %d\n%!"
+            p.Gc.minor_heap_size p.Gc.space_overhead g.Gc.top_heap_words;
           let ls = Exec.Join_table.load_stats () in
           Printf.printf
             "--- join tables: %d sealed, %d entries / %d buckets, mean \
@@ -660,7 +664,6 @@ let serve_cmd =
   in
   let run scale seed data indexes estimator model engine_name clients duration
       theta think cache_mb inflight budget jobs exec_jobs json stats trace =
-    Util.Domain_pool.tune_gc ();
     let jobs =
       if jobs < 0 then invalid_arg "jobench serve: --jobs must be >= 0"
       else if jobs = 0 then Domain.recommended_domain_count ()

@@ -211,14 +211,14 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   in
   let keys_equal outer oslots odatas i inner islots idatas j =
     let obase = i * outer.width and ibase = j * inner.width in
-    let rec go k =
-      if k = Array.length oslots then true
-      else
-        let ov = odatas.(k) outer.data.(obase + oslots.(k)) in
-        let iv = idatas.(k) inner.data.(ibase + islots.(k)) in
-        ov = iv && ov <> null && go (k + 1)
-    in
-    go 0
+    let k = ref 0 and eq = ref true in
+    while !eq && !k < Array.length oslots do
+      let ov = odatas.(!k) outer.data.(obase + oslots.(!k)) in
+      let iv = idatas.(!k) inner.data.(ibase + islots.(!k)) in
+      eq := ov = iv && ov <> null;
+      incr k
+    done;
+    !eq
   in
   let emit_joined out outer i inner j =
     batch_reserve out 1;
@@ -388,19 +388,26 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         o.owk <- o.owk + pair_cost;
         let h = tuple_key b oslots odatas i in
         if h <> null_key then begin
-          let pw =
-            Join_table.probe jt ~hash:h ~f:(fun j ->
-                if keys_equal b oslots odatas i inner islots idatas j then begin
-                  let base = out.nrows * width in
-                  Array.blit b.data (i * ow) out.data base ow;
-                  Array.blit inner.data (j * iw) out.data (base + ow) iw;
-                  out.nrows <- out.nrows + 1;
-                  o.orows <- o.orows + 1;
-                  o.owk <- o.owk + emit_cost;
-                  if out.nrows = chunk then push w o
-                end)
-          in
-          if charge_hash then o.owk <- o.owk + pw
+          (* Walk the chain inline: no callback, nothing allocated. *)
+          let e = ref (Join_table.head jt ~hash:h) and chain = ref 0 in
+          while !e >= 0 do
+            incr chain;
+            if Join_table.entry_hash jt !e = h then begin
+              let j = Join_table.payload jt !e in
+              if keys_equal b oslots odatas i inner islots idatas j then begin
+                let base = out.nrows * width in
+                Array.blit b.data (i * ow) out.data base ow;
+                Array.blit inner.data (j * iw) out.data (base + ow) iw;
+                out.nrows <- out.nrows + 1;
+                o.orows <- o.orows + 1;
+                o.owk <- o.owk + emit_cost;
+                if out.nrows = chunk then push w o
+              end
+            end;
+            e := Join_table.next jt !e
+          done;
+          if charge_hash then
+            o.owk <- o.owk + Join_table.probe_work ~chain:!chain
         end
         else if charge_hash then o.owk <- o.owk + 1
       done
@@ -454,13 +461,13 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     let width = ow + 1 in
     let filters_pass (b : batch) i inner_row =
       let base = i * ow in
-      let rec go k =
-        if k = nf then true
-        else
-          let ov = f_odatas.(k) b.data.(base + f_oslots.(k)) in
-          ov <> null && ov = f_idatas.(k) inner_row && go (k + 1)
-      in
-      go 0
+      let k = ref 0 and pass = ref true in
+      while !pass && !k < nf do
+        let ov = f_odatas.(!k) b.data.(base + f_oslots.(!k)) in
+        pass := ov <> null && ov = f_idatas.(!k) inner_row;
+        incr k
+      done;
+      !pass
     in
     let kernel bufs push w (b : batch) lo hi =
       let o = bufs.(w.wslot) in
@@ -471,18 +478,18 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         if key <> null then begin
           let matches = Storage.Index.lookup index key in
           o.owk <- o.owk + Array.length matches;
-          Array.iter
-            (fun inner_row ->
-              if pred inner_row && filters_pass b i inner_row then begin
-                let base = out.nrows * width in
-                Array.blit b.data (i * ow) out.data base ow;
-                out.data.(base + ow) <- inner_row;
-                out.nrows <- out.nrows + 1;
-                o.orows <- o.orows + 1;
-                o.owk <- o.owk + 1;
-                if out.nrows = chunk then push w o
-              end)
-            matches
+          for m = 0 to Array.length matches - 1 do
+            let inner_row = matches.(m) in
+            if pred inner_row && filters_pass b i inner_row then begin
+              let base = out.nrows * width in
+              Array.blit b.data (i * ow) out.data base ow;
+              out.data.(base + ow) <- inner_row;
+              out.nrows <- out.nrows + 1;
+              o.orows <- o.orows + 1;
+              o.owk <- o.owk + 1;
+              if out.nrows = chunk then push w o
+            end
+          done
         end
       done
     in
@@ -561,7 +568,10 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           incr k
         end
       done;
-      Array.sort
+      (* Merge sort: the stdlib heapsort allocates an exception per
+         sift-down. The order is a total one, so any sort gives the
+         same permutation. *)
+      Array.stable_sort
         (fun a b ->
           let c = Int.compare keys.(a) keys.(b) in
           if c <> 0 then c else Int.compare a b)

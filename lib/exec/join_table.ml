@@ -163,15 +163,14 @@ let seal t =
     (float_of_int (1000 * t.count / Array.length t.buckets));
   !work
 
-let probe t ~hash ~f =
-  (* Chain entries are hash comparisons on consecutive memory — charge a
-     quarter of a tuple's work each, matching the relative CPU weights of
-     the cost models. *)
-  let chain = ref 0 in
-  let i = ref t.buckets.(hash land t.mask) in
-  while !i >= 0 do
-    incr chain;
-    if t.hashes.(!i) = hash then f t.payloads.(!i);
-    i := t.next.(!i)
-  done;
-  1 + (!chain / 4)
+(* Probe cursor: callers walk a chain inline, so a probe allocates
+   nothing per row. *)
+let head t ~hash = t.buckets.(hash land t.mask)
+let next t e = t.next.(e)
+let entry_hash t e = t.hashes.(e)
+let payload t e = t.payloads.(e)
+
+(* Chain entries are hash comparisons on consecutive memory — charge a
+   quarter of a tuple's work each, matching the relative CPU weights of
+   the cost models. *)
+let probe_work ~chain = 1 + (chain / 4)

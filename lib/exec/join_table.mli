@@ -66,10 +66,38 @@ type load_stats = {
 val load_stats : unit -> load_stats
 val reset_load_stats : unit -> unit
 
-val probe : t -> hash:int -> f:(int -> unit) -> int
-(** Visit the payloads of every entry in the hash's chain (callers
-    re-check real key equality); returns the work units spent
-    (1 + chain length). *)
+(** {1 Probing}
+
+    A probe walks the hash's bucket chain by entry index, with no
+    callback:
+    {[
+      let e = ref (head t ~hash) and chain = ref 0 in
+      while !e >= 0 do
+        incr chain;
+        if entry_hash t !e = hash then (* use [payload t !e] *) ();
+        e := next t !e
+      done;
+      probe_work ~chain:!chain
+    ]}
+    Chains run in ascending payload order (see {!seal}); callers
+    re-check real key equality. *)
+
+val head : t -> hash:int -> int
+(** First entry of the hash's bucket chain, or [-1] if it is empty. *)
+
+val next : t -> int -> int
+(** The entry after this one in its chain, or [-1] at the chain's end. *)
+
+val entry_hash : t -> int -> int
+(** The hash an entry was appended with. *)
+
+val payload : t -> int -> int
+(** The payload an entry was appended with. *)
+
+val probe_work : chain:int -> int
+(** Work units of one probe that walked [chain] entries:
+    [1 + chain / 4]. Chain entries are hash comparisons on consecutive
+    memory, charged a quarter of a tuple's work each. *)
 
 val mix : int -> int
 (** Finalizer-style integer hash (SplitMix64 mixing), used to build entry

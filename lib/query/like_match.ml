@@ -1,30 +1,38 @@
+(* Iterative matching with one backtrack point: on a mismatch, resume
+   just after the most recent '%' with that '%' absorbing one more
+   subject character. Backtracking to an earlier '%' is never needed —
+   any split it could try, the later '%' covers too — so this is exact,
+   O(|pattern| * |s|) at worst, and allocates nothing: predicates run
+   it over every dictionary string each time they are compiled. *)
 let matches ~pattern s =
   let np = String.length pattern and ns = String.length s in
-  (* Memoized recursion over (pattern index, string index). *)
-  let memo = Hashtbl.create 64 in
-  let rec go pi si =
-    if pi = np then si = ns
-    else
-      match Hashtbl.find_opt memo (pi, si) with
-      | Some r -> r
-      | None ->
-          let r =
-            match pattern.[pi] with
-            | '%' ->
-                (* Skip runs of % then either consume nothing or one char. *)
-                let rec after_pct j = if j < np && pattern.[j] = '%' then after_pct (j + 1) else j in
-                let pj = after_pct pi in
-                if pj = np then true
-                else
-                  let rec try_from k = k <= ns && (go pj k || try_from (k + 1)) in
-                  try_from si
-            | '_' -> si < ns && go (pi + 1) (si + 1)
-            | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
-          in
-          Hashtbl.add memo (pi, si) r;
-          r
-  in
-  go 0 0
+  let pi = ref 0 and si = ref 0 in
+  let star = ref (-1) and resume = ref 0 in
+  let failed = ref false in
+  while (not !failed) && !si < ns do
+    if !pi < np && pattern.[!pi] = '%' then begin
+      star := !pi;
+      resume := !si;
+      incr pi
+    end
+    else if !pi < np && (pattern.[!pi] = '_' || pattern.[!pi] = s.[!si]) then begin
+      incr pi;
+      incr si
+    end
+    else if !star >= 0 then begin
+      incr resume;
+      si := !resume;
+      pi := !star + 1
+    end
+    else failed := true
+  done;
+  if !failed then false
+  else begin
+    while !pi < np && pattern.[!pi] = '%' do
+      incr pi
+    done;
+    !pi = np
+  end
 
 let is_prefix_pattern pattern =
   let n = String.length pattern in

@@ -90,15 +90,27 @@ let rec compile_atom table atom =
             let v = d row in
             v <> null && bitmap.(v) <> negated)
   | Or atoms ->
-      let fns = List.map (compile_atom table) atoms in
-      fun row -> List.exists (fun f -> f row) fns
+      let fns = Array.of_list (List.map (compile_atom table) atoms) in
+      fun row ->
+        (* A loop, not [List.exists]: no closure per row. *)
+        let k = ref 0 in
+        while !k < Array.length fns && not (fns.(!k) row) do
+          incr k
+        done;
+        !k < Array.length fns
 
 let compile table preds =
-  let fns = List.map (compile_atom table) preds in
-  match fns with
+  match List.map (compile_atom table) preds with
   | [] -> fun _ -> true
   | [ f ] -> f
-  | fns -> fun row -> List.for_all (fun f -> f row) fns
+  | fns ->
+      let fns = Array.of_list fns in
+      fun row ->
+        let k = ref 0 in
+        while !k < Array.length fns && fns.(!k) row do
+          incr k
+        done;
+        !k = Array.length fns
 
 (* ------------------------------------------------------------------ *)
 (* Selection vectors                                                   *)

@@ -37,7 +37,7 @@ val atom_column : atom -> int option
 val compile : Storage.Table.t -> t -> int -> bool
 (** [compile table preds] returns a row predicate. LIKE atoms are
     pre-resolved into code bitmaps over the column dictionary, so the
-    per-row test is O(atoms). *)
+    per-row test is O(atoms) and allocates nothing. *)
 
 val compile_atom : Storage.Table.t -> atom -> int -> bool
 

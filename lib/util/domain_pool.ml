@@ -11,19 +11,12 @@
    lowest input index is re-raised in the caller with its original
    backtrace. *)
 
-(* Larger per-domain minor heaps and a laxer major-heap target: every
-   minor collection in OCaml 5 is a stop-the-world synchronization of
-   all domains, so the fewer of them the hot executor loops trigger,
-   the less time domains spend waiting on each other's safepoints.
-   Results never depend on GC settings — only wall clock does. *)
-let tune_gc () =
-  let g = Gc.get () in
-  Gc.set
-    {
-      g with
-      Gc.minor_heap_size = max g.Gc.minor_heap_size (8 * 1024 * 1024);
-      space_overhead = max g.Gc.space_overhead 200;
-    }
+(* Every domain runs under OCaml's default GC settings. The executor's
+   per-row kernels allocate nothing, so a larger minor heap buys no
+   fewer collections worth having — it only multiplies resident memory
+   by the number of domains. Kept as a no-op for callers that still
+   invoke it. *)
+let tune_gc () = ()
 
 type task = {
   n : int;
@@ -90,7 +83,6 @@ let run_items t task =
   done
 
 let worker_loop t =
-  tune_gc ();
   let seen = ref 0 in
   let continue = ref true in
   while !continue do

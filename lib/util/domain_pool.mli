@@ -14,13 +14,12 @@
 type t
 
 val tune_gc : unit -> unit
-(** Raise the calling domain's minor-heap size and major-heap slack
-    (never lowering user-configured values). Applied automatically in
-    every pool worker; call it once from the main domain of a
-    throughput-sensitive binary so the caller's share of the work runs
-    under the same GC regime. Results never depend on it — minor
-    collections are stop-the-world across domains in OCaml 5, so fewer
-    of them means less cross-domain stalling. *)
+(** Does nothing: no domain changes a GC parameter. Workers and callers
+    alike run under OCaml's default settings ([Gc.get ()] is the same
+    before and after a pool is created and used). The executor's per-row
+    kernels allocate nothing, so a larger minor heap would buy few
+    collections and cost one heap's worth of memory per domain. Kept
+    only so existing callers still link. *)
 
 val create : domains:int -> t
 (** Spawn the pool. [domains] is the total parallelism including the

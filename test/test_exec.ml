@@ -17,14 +17,26 @@ let build jt pairs =
 
 let mixed n = List.init n (fun i -> (Exec.Join_table.mix i, i))
 
+(* One probe through the chain cursor, walked the way the executor's
+   hash stage walks it: the payloads whose entry hash matches, in chain
+   order, the chain length, and the probe's work units. *)
+let probe_chain jt hash =
+  let e = ref (Exec.Join_table.head jt ~hash) and chain = ref 0 in
+  let found = ref [] in
+  while !e >= 0 do
+    incr chain;
+    if Exec.Join_table.entry_hash jt !e = hash then
+      found := Exec.Join_table.payload jt !e :: !found;
+    e := Exec.Join_table.next jt !e
+  done;
+  (List.rev !found, !chain, Exec.Join_table.probe_work ~chain:!chain)
+
 let test_join_table_basics () =
   let jt = Exec.Join_table.create ~estimated_rows:100.0 ~resizable:false () in
   let h1 = Exec.Join_table.mix 42 and h2 = Exec.Join_table.mix 43 in
   ignore (build jt [ (h1, 1); (h1, 2); (h2, 3) ]);
-  let found = ref [] in
-  ignore (Exec.Join_table.probe jt ~hash:h1 ~f:(fun p -> found := p :: !found));
-  Alcotest.(check (list int)) "both payloads, ascending" [ 1; 2 ]
-    (List.rev !found);
+  let found, _, _ = probe_chain jt h1 in
+  Alcotest.(check (list int)) "both payloads, ascending" [ 1; 2 ] found;
   Alcotest.(check int) "entries" 3 (Exec.Join_table.entry_count jt)
 
 let test_join_table_undersized_chains () =
@@ -37,7 +49,7 @@ let test_join_table_undersized_chains () =
   Alcotest.(check int) "floored bucket array" 1024 (Exec.Join_table.bucket_count jt);
   (* 64k entries over 1024 buckets: ~64-entry chains, charged at a
      quarter tuple each. *)
-  let work = Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
+  let _, _, work = probe_chain jt (Exec.Join_table.mix 7) in
   Alcotest.(check bool)
     (Printf.sprintf "long chain (%d)" work)
     true (work > 10)
@@ -46,8 +58,33 @@ let test_join_table_resizing () =
   let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:true () in
   ignore (build jt (mixed 65536));
   Alcotest.(check bool) "grew" true (Exec.Join_table.bucket_count jt >= 65536);
-  let work = Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix 7) ~f:(fun _ -> ()) in
+  let _, _, work = probe_chain jt (Exec.Join_table.mix 7) in
   Alcotest.(check bool) "short chain" true (work < 10)
+
+(* The probe charge, pinned: a fixed 1024-bucket table whose probed
+   bucket holds exactly [len] entries — [same] with the probed hash,
+   the rest colliding on the bucket with another hash — charges
+   [1 + len / 4], whatever the neighbouring buckets hold. *)
+let test_join_table_chain_charge () =
+  let h = Exec.Join_table.mix 7 in
+  List.iter
+    (fun (same, colliding) ->
+      let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false () in
+      Alcotest.(check int) "1024 buckets" 1024 (Exec.Join_table.bucket_count jt);
+      let entries =
+        List.init same (fun i -> (h, i))
+        @ List.init colliding (fun i -> (h + 1024, same + i))
+        @ List.init 50 (fun i -> (h + 1, same + colliding + i))
+      in
+      ignore (build jt entries);
+      let len = same + colliding in
+      let found, chain, work = probe_chain jt h in
+      let label = Printf.sprintf "chain of %d" len in
+      Alcotest.(check int) (label ^ ": length") len chain;
+      Alcotest.(check int) (label ^ ": charge") (1 + (len / 4)) work;
+      Alcotest.(check (list int)) (label ^ ": matches, ascending")
+        (List.init same Fun.id) found)
+    [ (0, 0); (1, 0); (3, 0); (4, 0); (5, 2); (0, 7); (16, 16); (37, 26) ]
 
 (* The resize bill: a resizable table that starts at B0 buckets and
    seals n entries charges sum b for b = B0, 2*B0, 4*B0, ... while
@@ -80,12 +117,10 @@ let join_table_finds_all =
                 (Exec.Join_table.mix keys.(payload), payload))));
       List.for_all
         (fun probe ->
-          let found = ref 0 in
-          ignore
-            (Exec.Join_table.probe jt ~hash:(Exec.Join_table.mix probe)
-               ~f:(fun p -> if keys.(p) = probe then incr found));
+          let payloads, _, _ = probe_chain jt (Exec.Join_table.mix probe) in
+          let found = List.length (List.filter (fun p -> keys.(p) = probe) payloads) in
           let expected = Array.fold_left (fun a k -> if k = probe then a + 1 else a) 0 keys in
-          !found = expected)
+          found = expected)
         [ 0; 7; 49 ])
 
 (* --- Executor ------------------------------------------------------------------ *)
@@ -379,6 +414,71 @@ let test_checkpoints_match_truth () =
         [ "PostgreSQL"; "true" ])
     Workload.Job.all
 
+(* The per-row kernels allocate nothing. All 113 JOB queries run on
+   the serial path (no pool) under their PostgreSQL-estimate plans at
+   two scales, each once untimed (lazy indexes, plan and statistics
+   caches) and once measured. What a run allocates per plan node —
+   batches, readers, stage closures — does not grow with the data, so
+   the minor words must grow by less than half a word per added work
+   unit. A closure or an option per probed row costs several. *)
+let test_kernels_allocation_free () =
+  let config =
+    {
+      Exec.Engine_config.robust with
+      Exec.Engine_config.work_limit = max_int / 2;
+      row_limit = max_int / 2;
+    }
+  in
+  let measure scale =
+    let s = Core.Session.create ~seed:11 ~scale () in
+    List.fold_left
+      (fun (words, work) (jq : Workload.Job.query) ->
+        let q = Core.Session.job s jq.Workload.Job.name in
+        let choice = Core.Session.optimize s ~estimator:"PostgreSQL" q in
+        ignore (Core.Session.run s ~engine:config q choice);
+        let w0 = Gc.minor_words () in
+        let r = Core.Session.run s ~engine:config q choice in
+        let w1 = Gc.minor_words () in
+        Alcotest.(check bool) (jq.Workload.Job.name ^ ": finished") false
+          r.Exec.Executor.timed_out;
+        (words +. (w1 -. w0), work + r.Exec.Executor.work))
+      (0.0, 0) Workload.Job.all
+  in
+  let small_words, small_work = measure 0.001 in
+  let large_words, large_work = measure 0.004 in
+  Alcotest.(check bool) "work grows with scale" true (large_work > small_work);
+  let per_unit =
+    (large_words -. small_words) /. float_of_int (large_work - small_work)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per added work unit (< 0.5)" per_unit)
+    true (per_unit < 0.5)
+
+(* No domain changes a GC parameter: creating a pool, mapping over it
+   and running per-slot bodies leaves the caller's minor heap size and
+   space overhead as they were, and every worker sees the same. *)
+let test_pool_keeps_gc_settings () =
+  let settings () =
+    let g = Gc.get () in
+    (g.Gc.minor_heap_size, g.Gc.space_overhead)
+  in
+  let before = settings () in
+  let pool = Util.Domain_pool.create ~domains:3 in
+  let seen =
+    Fun.protect
+      ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+      (fun () ->
+        let mapped =
+          Util.Domain_pool.map_array pool (fun _ -> settings ()) (Array.make 64 ())
+        in
+        let slots = Array.make (Util.Domain_pool.size pool) before in
+        Util.Domain_pool.run_workers pool (fun slot -> slots.(slot) <- settings ());
+        Array.to_list mapped @ Array.to_list slots)
+  in
+  let pair = Alcotest.(pair int int) in
+  List.iter (Alcotest.check pair "worker settings" before) seen;
+  Alcotest.check pair "caller settings" before (settings ())
+
 let test_engine_configs () =
   Alcotest.(check bool) "default allows NL" true
     Exec.Engine_config.default_9_4.Exec.Engine_config.allow_nl_join;
@@ -392,6 +492,8 @@ let suite =
     Alcotest.test_case "join table basics" `Quick test_join_table_basics;
     Alcotest.test_case "undersized chains" `Quick test_join_table_undersized_chains;
     Alcotest.test_case "resizing" `Quick test_join_table_resizing;
+    Alcotest.test_case "probe charges 1 + chain/4" `Quick
+      test_join_table_chain_charge;
     seal_charges_doubling_schedule;
     join_table_finds_all;
     all_plans_agree;
@@ -408,5 +510,9 @@ let suite =
       test_undersized_hash_table_penalty;
     Alcotest.test_case "checkpoints match the truth oracle" `Slow
       test_checkpoints_match_truth;
+    Alcotest.test_case "kernels allocate nothing per row" `Slow
+      test_kernels_allocation_free;
+    Alcotest.test_case "pool keeps the GC settings" `Quick
+      test_pool_keeps_gc_settings;
     Alcotest.test_case "engine configs" `Quick test_engine_configs;
   ]
