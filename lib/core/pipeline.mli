@@ -122,9 +122,11 @@ val warm_statistics : t -> query list -> unit
     connected-subset probes). ANALYZE samples tables lazily from a
     shared per-instance PRNG, so table statistics depend on first-touch
     order; warming pins that order before any parallel fan-out, making
-    every downstream estimate independent of domain scheduling. Must be
-    called before statistics-based estimators are probed from more than
-    one domain. *)
+    every downstream estimate independent of domain scheduling. Each
+    pass stops once its instance has analyzed every table of the
+    database, since no later probe can change a sample then; the
+    statistics are those of the full replay. Must be called before
+    statistics-based estimators are probed from more than one domain. *)
 
 val truth : t -> query -> Cardest.True_card.t
 (** Exact cardinalities of every connected subexpression (cached per

@@ -27,6 +27,8 @@ let create ?(seed = 1337) ?(sample_size = 30_000) ?(buckets = 100)
 
 let database t = t.db
 
+let analyzed_tables t = Hashtbl.length t.cache
+
 let table t name =
   match Hashtbl.find_opt t.cache name with
   | Some stats -> stats

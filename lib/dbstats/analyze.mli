@@ -26,6 +26,12 @@ val create :
 
 val database : t -> Storage.Database.t
 
+val analyzed_tables : t -> int
+(** Number of distinct tables analyzed so far. Only a table's first
+    analysis draws from the instance's PRNG, so once this equals the
+    database's table count, no further access changes any sample or
+    statistic of the instance. *)
+
 val table : t -> string -> table_stats
 
 val column : t -> table:string -> col:int -> Column_stats.t

@@ -34,6 +34,55 @@ module Int_table = Hashtbl.Make (struct
   let hash (x : int) = Hashtbl.hash x
 end)
 
+(* Dense kernel: one pass over the sample fills [counts], indexed by
+   [code - lo], and records the distinct codes in first-seen order, the
+   NULLs and the largest count. When some code repeats, the distinct
+   codes go into [freqs] in first-seen order with their final counts:
+   that is the order in which the hashed kernel's per-row updates first
+   insert them, so buckets and fold order are the same. Returns the
+   sample's NULL, distinct and singleton counts. *)
+let dense_counts data sample_rows ~lo ~counts ~freqs =
+  let n = Array.length sample_rows in
+  let order = Array.make (min n (Array.length counts)) 0 in
+  let nulls = ref 0 and distinct = ref 0 and top = ref 0 in
+  for i = 0 to n - 1 do
+    let v = data sample_rows.(i) in
+    if v = Storage.Value.null_code then incr nulls
+    else begin
+      let c = counts.(v - lo) + 1 in
+      counts.(v - lo) <- c;
+      if c = 1 then begin
+        order.(!distinct) <- v;
+        incr distinct
+      end;
+      if c > !top then top := c
+    end
+  done;
+  let singletons = ref 0 in
+  for j = 0 to !distinct - 1 do
+    let c = counts.(order.(j) - lo) in
+    if c = 1 then incr singletons;
+    if !top >= 2 then Int_table.add freqs order.(j) c
+  done;
+  (!nulls, !distinct, !singletons)
+
+(* Hashed kernel, for code ranges too wide to address directly: one
+   table update per sampled row. *)
+let hashed_counts data sample_rows ~freqs =
+  let nulls = ref 0 in
+  Array.iter
+    (fun row ->
+      let v = data row in
+      if v = Storage.Value.null_code then incr nulls
+      else
+        match Int_table.find_opt freqs v with
+        | Some c -> Int_table.replace freqs v (c + 1)
+        | None -> Int_table.add freqs v 1)
+    sample_rows;
+  ( !nulls,
+    Int_table.length freqs,
+    Int_table.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 )
+
 let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
   let column = Storage.Table.column table col in
   let data = Storage.Column.reader column in
@@ -44,30 +93,30 @@ let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
      the column. *)
   let rank_of_code = Option.map Storage.Dict.ranks (Storage.Column.dict column) in
 
-  (* Sample pass: frequencies per code. *)
-  let freqs = Int_table.create 512 in
-  let nulls = ref 0 in
-  let non_null = ref 0 in
-  Array.iter
-    (fun row ->
-      let v = data row in
-      if v = null_code then incr nulls
-      else begin
-        incr non_null;
-        match Int_table.find_opt freqs v with
-        | Some c -> Int_table.replace freqs v (c + 1)
-        | None -> Int_table.add freqs v 1
-      end)
-    sample_rows;
+  (* Sample pass: frequencies per code, through the dense kernel when
+     the column's code range allows it. *)
   let sample_size = Array.length sample_rows in
-  let null_fraction =
-    if sample_size = 0 then 0.0 else float_of_int !nulls /. float_of_int sample_size
+  let dense =
+    match Storage.Column.min_max column with
+    | None -> None
+    | Some (lo, hi) ->
+        Option.map
+          (fun span -> (lo, Array.make span 0))
+          (Storage.Column.dense_span ~n:sample_size lo hi)
   in
-  let sample_distinct = Int_table.length freqs in
-  let singletons = Int_table.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 in
+  let freqs = Int_table.create 512 in
+  let nulls, sample_distinct, singletons =
+    match dense with
+    | Some (lo, counts) -> dense_counts data sample_rows ~lo ~counts ~freqs
+    | None -> hashed_counts data sample_rows ~freqs
+  in
+  let non_null = sample_size - nulls in
+  let null_fraction =
+    if sample_size = 0 then 0.0 else float_of_int nulls /. float_of_int sample_size
+  in
   let distinct_sampled =
     Float.max 1.0
-      (duj1 ~sample_size:!non_null ~table_rows:row_count ~sample_distinct ~singletons)
+      (duj1 ~sample_size:non_null ~table_rows:row_count ~sample_distinct ~singletons)
   in
   let distinct_exact = Float.max 1.0 (float_of_int (Storage.Column.distinct_count column)) in
 
@@ -82,19 +131,28 @@ let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
          (fun (code, c) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
          top)
   in
-  let mcv_codes = Int_table.create 32 in
-  Array.iter (fun (code, _) -> Int_table.replace mcv_codes code ()) mcv;
+  let in_histogram =
+    match dense with
+    | Some (lo, counts) ->
+        (* Every sampled code has a non-zero count; zero the MCVs'. *)
+        Array.iter (fun (code, _) -> counts.(code - lo) <- 0) mcv;
+        fun v -> v <> null_code && counts.(v - lo) <> 0
+    | None ->
+        let mcv_codes = Int_table.create 32 in
+        Array.iter (fun (code, _) -> Int_table.replace mcv_codes code ()) mcv;
+        fun v -> v <> null_code && not (Int_table.mem mcv_codes v)
+  in
 
   (* Histogram over the non-MCV part of the sample, in rank space: the
      non-NULL rows less the MCVs' sample counts. *)
   let hist_values =
-    Array.make (List.fold_left (fun acc (_, c) -> acc - c) !non_null top) 0
+    Array.make (List.fold_left (fun acc (_, c) -> acc - c) non_null top) 0
   in
   let filled = ref 0 in
   Array.iter
     (fun row ->
       let v = data row in
-      if v <> null_code && not (Int_table.mem mcv_codes v) then begin
+      if in_histogram v then begin
         hist_values.(!filled) <- (match rank_of_code with None -> v | Some r -> r.(v));
         incr filled
       end)

@@ -89,18 +89,52 @@ type stats = {
   s_max_delta : int option; (* max per-block (max - min); None if too wide *)
 }
 
+(* The direct-addressing bound shared by the dense kernels: at most
+   [max 65536 (4 * n)] slots for [n] input codes. [hi - lo] wraps
+   negative exactly when the true range exceeds [max_int]. *)
+let dense_span ~n lo hi =
+  let d = hi - lo in
+  if d < 0 || d >= max 65536 (4 * n) then None else Some (d + 1)
+
+(* Exact number of distinct non-NULL codes: a bitmap over [lo, hi] when
+   [dense_span] allows one, a hash set otherwise. *)
+let count_distinct codes lo_hi =
+  let n = Array.length codes in
+  match lo_hi with
+  | None -> 0
+  | Some (lo, hi) -> (
+      match dense_span ~n lo hi with
+      | Some span ->
+          let seen = Bytes.make ((span + 7) lsr 3) '\000' in
+          let distinct = ref 0 in
+          for i = 0 to n - 1 do
+            let c = Array.unsafe_get codes i in
+            if c <> Value.null_code then begin
+              let k = c - lo in
+              let byte = Char.code (Bytes.get seen (k lsr 3)) in
+              let bit = 1 lsl (k land 7) in
+              if byte land bit = 0 then begin
+                Bytes.set seen (k lsr 3) (Char.unsafe_chr (byte lor bit));
+                incr distinct
+              end
+            end
+          done;
+          !distinct
+      | None ->
+          let seen = Hashtbl.create 256 in
+          Array.iter (fun c -> if c <> Value.null_code then Hashtbl.replace seen c ()) codes;
+          Hashtbl.length seen)
+
 let scan_stats codes =
   let n = Array.length codes in
   let nulls = ref 0 in
   let found = ref false in
   let lo = ref 0 and hi = ref 0 in
   let runs = ref (if n = 0 then 0 else 1) in
-  let seen = Hashtbl.create 256 in
   for i = 0 to n - 1 do
     let c = Array.unsafe_get codes i in
     if c = Value.null_code then incr nulls
     else begin
-      Hashtbl.replace seen c ();
       if not !found then begin
         found := true;
         lo := c;
@@ -142,7 +176,7 @@ let scan_stats codes =
     done;
   {
     s_nulls = !nulls;
-    s_distinct = Hashtbl.length seen;
+    s_distinct = count_distinct codes lo_hi;
     s_lo_hi = lo_hi;
     s_runs = !runs;
     s_bases = (if nblocks = 0 then [||] else Array.sub bases 0 nblocks);

@@ -102,6 +102,15 @@ val min_max : t -> (int * int) option
 (** Smallest and largest non-NULL code, or [None] if all rows are
     NULL. *)
 
+val dense_span : n:int -> int -> int -> int option
+(** [dense_span ~n lo hi] is [Some (hi - lo + 1)], the number of slots of
+    an array indexed by [code - lo], when that is at most
+    [max 65536 (4 * n)] for an input of [n] codes, and [None] when the
+    range is wider or [hi - lo] overflows. Kernels that count per code
+    over [n] codes (the distinct count here, ANALYZE's frequency pass)
+    address such an array directly under this bound and hash otherwise,
+    so their scratch stays proportional to their input. *)
+
 (** {1 Value/code conversions} *)
 
 val encode : t -> Value.t -> int option

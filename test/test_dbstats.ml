@@ -243,9 +243,92 @@ let reference_build table ~col ~sample_rows ~buckets ~mcv_entries =
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* [cs] equals the reference build on the same sample, field for field. *)
+let check_reference what table ~col ~sample_rows ~buckets ~mcv_entries
+    (cs : Dbstats.Column_stats.t) =
+  let rows, nulls, sampled, exact, mcv, bounds, ranks =
+    reference_build table ~col ~sample_rows ~buckets ~mcv_entries
+  in
+  let ok =
+    rows = cs.row_count
+    && same_float nulls cs.null_fraction
+    && same_float sampled cs.distinct_sampled
+    && same_float exact cs.distinct_exact
+    && Array.length mcv = Array.length cs.mcv
+    && Array.for_all2 (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2) mcv cs.mcv
+    && bounds = Option.map Dbstats.Histogram.bounds cs.histogram
+    && ranks = cs.rank_of_code
+  in
+  if not ok then Alcotest.failf "%s differs from the reference build" what
+
+(* Synthetic columns on either side of the dense kernel's range bound
+   ([max 65536 (4 * sample)]), for a whole-table sample of 20,000 rows
+   and a partial one of 2,000: a range wider than 2^40 with negatives,
+   NULLs and repeated values (the hashed kernel), and ranges of exactly
+   the bound and one past it. *)
+let synthetic_kernel_cases () =
+  let rows = 20_000 in
+  let prng = Util.Prng.create 5 in
+  let repeated k = Array.init rows (fun _ -> Util.Prng.int prng k) in
+  let wide =
+    let pool = [| -(1 lsl 41); -977; 0; 12; 1 lsl 40; (1 lsl 42) + 3; max_int; min_int + 1 |] in
+    Array.map (fun k -> if k mod 11 = 0 then None else Some pool.(k mod Array.length pool))
+      (repeated 97)
+  in
+  (* [span] codes from [lo]: both ends present, the rest repeated draws. *)
+  let spanning ~lo span =
+    Array.mapi
+      (fun i k ->
+        if i = 0 then Some lo
+        else if i = 1 then Some (lo + span - 1)
+        else if k mod 13 = 0 then None
+        else Some (lo + (k * 7919 mod span)))
+      (repeated 400)
+  in
+  List.iter
+    (fun sample_size ->
+      let sample_rows =
+        if sample_size >= rows then Array.init rows Fun.id
+        else Util.Prng.sample_without_replacement prng sample_size rows
+      in
+      let n = Array.length sample_rows in
+      let bound = max 65536 (4 * n) in
+      let table =
+        Storage.Table.create ~name:"synthetic"
+          [|
+            Storage.Column.of_ints ~name:"wide" wide;
+            Storage.Column.of_ints ~name:"at_bound" (spanning ~lo:(-5) bound);
+            Storage.Column.of_ints ~name:"past_bound" (spanning ~lo:(-5) (bound + 1));
+          |]
+      in
+      let expect_dense = [| false; true; false |] in
+      Array.iteri
+        (fun col column ->
+          let lo, hi = Option.get (Storage.Column.min_max column) in
+          Alcotest.(check bool)
+            (Printf.sprintf "sample %d, column %d: dense kernel" n col)
+            expect_dense.(col)
+            (Storage.Column.dense_span ~n lo hi <> None))
+        (Storage.Table.columns table);
+      List.iter
+        (fun (buckets, mcv_entries) ->
+          for col = 0 to Storage.Table.column_count table - 1 do
+            let cs =
+              Dbstats.Column_stats.build table ~col ~sample_rows ~buckets ~mcv_entries ()
+            in
+            if col = 0 && Array.length cs.mcv = 0 then
+              Alcotest.fail "the wide column should have MCVs";
+            check_reference
+              (Printf.sprintf "sample %d, %d buckets, column %d" n buckets col)
+              table ~col ~sample_rows ~buckets ~mcv_entries cs
+          done)
+        [ (100, 100); (10, 5) ])
+    [ rows; 2_000 ]
+
 (* Every statistic of every column of every table, for the default and
-   the coarse ANALYZE, at two scales: equal to the reference build on
-   the same sample, field for field. *)
+   the coarse ANALYZE, at two scales, and of the synthetic columns that
+   run each ANALYZE kernel: equal to the reference build on the same
+   sample, field for field. *)
 let test_column_stats_identity () =
   List.iter
     (fun scale ->
@@ -257,34 +340,20 @@ let test_column_stats_identity () =
               let stats = Dbstats.Analyze.table analyze name in
               let sample_rows = stats.Dbstats.Analyze.sample.Dbstats.Sample.rows in
               Array.iteri
-                (fun col (cs : Dbstats.Column_stats.t) ->
+                (fun col cs ->
                   let what =
                     Printf.sprintf "scale %g, %s, %s column %d" scale label name col
                   in
-                  let rows, nulls, sampled, exact, mcv, bounds, ranks =
-                    reference_build stats.Dbstats.Analyze.table ~col ~sample_rows ~buckets
-                      ~mcv_entries
-                  in
-                  let ok =
-                    rows = cs.row_count
-                    && same_float nulls cs.null_fraction
-                    && same_float sampled cs.distinct_sampled
-                    && same_float exact cs.distinct_exact
-                    && Array.length mcv = Array.length cs.mcv
-                    && Array.for_all2
-                         (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2)
-                         mcv cs.mcv
-                    && bounds = Option.map Dbstats.Histogram.bounds cs.histogram
-                    && ranks = cs.rank_of_code
-                  in
-                  if not ok then Alcotest.failf "%s differs from the reference build" what)
+                  check_reference what stats.Dbstats.Analyze.table ~col ~sample_rows ~buckets
+                    ~mcv_entries cs)
                 stats.Dbstats.Analyze.columns)
             (Storage.Database.table_names db))
         [
           ("default", Dbstats.Analyze.create db, 100, 100);
           ("coarse", Cardest.Systems.coarse_analyze db, 10, 5);
         ])
-    [ 0.001; 0.005 ]
+    [ 0.001; 0.005 ];
+  synthetic_kernel_cases ()
 
 (* --- Analyze ------------------------------------------------------------------------- *)
 
@@ -308,6 +377,88 @@ let test_analyze_column_access () =
   let cs = Dbstats.Analyze.column a ~table:"title" ~col in
   Alcotest.(check bool) "has histogram" true (cs.Dbstats.Column_stats.histogram <> None)
 
+(* --- Statistics warm-up ------------------------------------------------------------ *)
+
+(* [Core.Pipeline.warm_statistics] as it was: all four passes over every
+   query, with no stop at saturation. *)
+let reference_warm (pipe : Core.Pipeline.t) queries =
+  let db = Core.Pipeline.db pipe in
+  let sctx (q : Core.Pipeline.query) = { Cardest.Systems.db; graph = q.graph } in
+  let base_pass (est : Cardest.Estimator.t) (q : Core.Pipeline.query) =
+    Array.iter
+      (fun (r : Query.Query_graph.relation) ->
+        if r.preds <> [] then ignore (est.base r.idx))
+      (Query.Query_graph.relations q.graph)
+  in
+  let subset_pass (est : Cardest.Estimator.t) (q : Core.Pipeline.query) =
+    Array.iter
+      (fun s -> if Util.Bitset.cardinal s - 1 <= 6 then ignore (est.subset s))
+      (Query.Query_graph.connected_subsets q.graph)
+  in
+  List.iter (fun q -> base_pass (Cardest.Systems.postgres pipe.analyze (sctx q)) q) queries;
+  List.iter (fun q -> base_pass (Cardest.Systems.dbms_b pipe.coarse (sctx q)) q) queries;
+  List.iter (fun q -> subset_pass (Cardest.Systems.postgres pipe.analyze (sctx q)) q) queries;
+  List.iter (fun q -> subset_pass (Cardest.Systems.dbms_b pipe.coarse (sctx q)) q) queries
+
+let same_column_stats (a : Dbstats.Column_stats.t) (b : Dbstats.Column_stats.t) =
+  a.row_count = b.row_count
+  && same_float a.null_fraction b.null_fraction
+  && same_float a.distinct_sampled b.distinct_sampled
+  && same_float a.distinct_exact b.distinct_exact
+  && Array.length a.mcv = Array.length b.mcv
+  && Array.for_all2 (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2) a.mcv b.mcv
+  && Option.map Dbstats.Histogram.bounds a.histogram
+     = Option.map Dbstats.Histogram.bounds b.histogram
+  && a.rank_of_code = b.rank_of_code
+
+(* The warm-up that stops at saturation leaves both ANALYZE instances as
+   the full replay does: the same number of analyzed tables, then (in
+   table order, which analyzes any table the replay left out on both
+   sides alike) the same sample and statistics for every table. The JOB
+   workload saturates both instances; a single query saturates neither
+   and replays in full. *)
+let test_warm_statistics_oracle () =
+  List.iter
+    (fun scale ->
+      let db = Support.fresh_imdb ~scale () in
+      let tables = Storage.Database.table_names db in
+      List.iter
+        (fun (label, queries, saturates) ->
+          let warmed db warm =
+            let pipe = Core.Pipeline.create db in
+            let bound =
+              List.map
+                (fun (q : Workload.Job.query) -> Core.Pipeline.bind pipe ~name:q.name q.sql)
+                queries
+            in
+            warm pipe bound;
+            pipe
+          in
+          let fast = warmed db Core.Pipeline.warm_statistics in
+          let full = warmed db reference_warm in
+          List.iter
+            (fun (instance, get) ->
+              let what = Printf.sprintf "scale %g, %s, %s instance" scale label instance in
+              let a = get fast and b = get full in
+              Alcotest.(check int) (what ^ ": analyzed tables")
+                (Dbstats.Analyze.analyzed_tables b) (Dbstats.Analyze.analyzed_tables a);
+              Alcotest.(check bool) (what ^ ": saturated") saturates
+                (Dbstats.Analyze.analyzed_tables b = List.length tables);
+              List.iter
+                (fun name ->
+                  let sa = Dbstats.Analyze.table a name and sb = Dbstats.Analyze.table b name in
+                  if sa.sample.rows <> sb.sample.rows then
+                    Alcotest.failf "%s: %s sample differs" what name;
+                  if not (Array.for_all2 same_column_stats sa.columns sb.columns) then
+                    Alcotest.failf "%s: %s column stats differ" what name)
+                tables)
+            [
+              ("default", fun (p : Core.Pipeline.t) -> p.analyze);
+              ("coarse", fun (p : Core.Pipeline.t) -> p.coarse);
+            ])
+        [ ("JOB", Workload.Job.all, true); ("1a only", [ Workload.Job.find "1a" ], false) ])
+    [ 0.001; 0.005 ]
+
 let suite =
   [
     Alcotest.test_case "sample sizes" `Quick test_sample_sizes;
@@ -325,4 +476,5 @@ let suite =
     Alcotest.test_case "column stats = reference build" `Quick test_column_stats_identity;
     Alcotest.test_case "analyze caching" `Quick test_analyze_caching;
     Alcotest.test_case "analyze column access" `Quick test_analyze_column_access;
+    Alcotest.test_case "warm-up = full replay" `Quick test_warm_statistics_oracle;
   ]

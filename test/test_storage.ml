@@ -221,11 +221,15 @@ module C = Storage.Column
 
 (* Every encoding must expose the exact code sequence of the flat
    reference: same [get]/[reader]/[to_codes]/[iter_codes], same chunked
-   [decode_into] at awkward boundaries, same cached statistics. *)
-let encoding_roundtrip_law column =
+   [decode_into] at awkward boundaries. The cached statistics must equal
+   [expect] = (distinct, nulls, min/max), computed from the cells
+   themselves rather than by [Column]'s statistics pass. *)
+let encoding_roundtrip_law ~expect column =
   let reference = C.to_codes column in
   let n = Array.length reference in
-  List.for_all
+  let stats c = (C.distinct_count c, C.null_count c, C.min_max c) in
+  stats column = expect
+  && List.for_all
     (fun enc ->
       let r = C.recode column enc in
       let indices = Array.init n (fun i -> i) in
@@ -255,36 +259,52 @@ let encoding_roundtrip_law column =
       && (let read = C.reader r in
           Array.for_all (fun i -> read i = reference.(i)) indices)
       && chunks_ok && iter_ok
-      && C.distinct_count r = C.distinct_count column
-      && C.null_count r = C.null_count column
-      && C.min_max r = C.min_max column)
+      && stats r = expect)
     C.all_encodings
 
 let int_column_of cells = C.of_ints ~name:"x" (Array.of_list cells)
 
+let distinct_cells cells = List.sort_uniq compare (List.filter_map Fun.id cells)
+let null_cells cells = List.length (List.filter Option.is_none cells)
+
+(* (distinct, nulls, min/max) of a cell list, computed from the cells. *)
+let int_expect cells =
+  let values = distinct_cells cells in
+  let d = List.length values in
+  (d, null_cells cells, match values with [] -> None | lo :: _ -> Some (lo, List.nth values (d - 1)))
+
+(* A dictionary codes the distinct strings 0, 1, ... in first-seen
+   order, so a string column's code range is [0, distinct - 1]. *)
+let string_expect cells =
+  let d = List.length (distinct_cells cells) in
+  (d, null_cells cells, if d = 0 then None else Some (0, d - 1))
+
+let int_roundtrip cells =
+  encoding_roundtrip_law ~expect:(int_expect cells) (int_column_of cells)
+
 let encoding_roundtrip_random =
   Support.qcheck_case ~name:"encodings roundtrip on random int columns"
     QCheck.(small_list (option int))
-    (fun cells -> encoding_roundtrip_law (int_column_of cells))
+    int_roundtrip
 
 let encoding_roundtrip_sorted =
   Support.qcheck_case ~name:"encodings roundtrip on sorted columns (frame)"
     QCheck.(small_list (option small_int))
-    (fun cells -> encoding_roundtrip_law (int_column_of (List.sort compare cells)))
+    (fun cells -> int_roundtrip (List.sort compare cells))
 
 let encoding_roundtrip_runs =
   Support.qcheck_case ~name:"encodings roundtrip on run-heavy columns (rle)"
     QCheck.(small_list (pair (option (int_bound 5)) (int_bound 6)))
     (fun pairs ->
       let cells = List.concat_map (fun (v, k) -> List.init (k + 1) (fun _ -> v)) pairs in
-      encoding_roundtrip_law (int_column_of cells))
+      int_roundtrip cells)
 
 let encoding_roundtrip_strings =
   Support.qcheck_case ~name:"encodings roundtrip on dictionary columns"
     QCheck.(small_list (option (string_of_size (QCheck.Gen.int_range 0 6))))
     (fun cells ->
       let column = C.of_strings ~name:"s" (Array.of_list cells) in
-      encoding_roundtrip_law column
+      encoding_roundtrip_law ~expect:(string_expect cells) column
       && List.for_all
            (fun enc ->
              (* The dictionary is shared, so string decode survives. *)
@@ -330,6 +350,21 @@ let test_encoding_stats_cached () =
   check Alcotest.int "distinct" 3 (C.distinct_count c);
   check Alcotest.int "nulls" 1 (C.null_count c);
   check Alcotest.(option (pair int int)) "min/max" (Some (-3, 7)) (C.min_max c)
+
+(* The distinct count on either side of the bitmap's range bound, and on
+   a range whose width overflows an int. *)
+let test_distinct_count_bound () =
+  List.iter
+    (fun (what, cells, dense) ->
+      let c = int_column_of cells in
+      let lo, hi = Option.get (C.min_max c) in
+      Alcotest.(check bool) (what ^ ": bitmap") dense (C.dense_span ~n:(C.length c) lo hi <> None);
+      Alcotest.(check bool) (what ^ ": statistics = cells") true (int_roundtrip cells))
+    [
+      ("at the bound", [ Some (-7); Some (65536 - 8); None; Some (-7) ], true);
+      ("past the bound", [ Some (-7); Some (65536 - 7); None; Some (65536 - 7) ], false);
+      ("overflowing range", [ Some max_int; Some (min_int + 1); None; Some max_int ], false);
+    ]
 
 let test_take_shares_dict () =
   let c = C.of_strings ~name:"s" [| Some "a"; Some "b"; None; Some "a" |] in
@@ -392,6 +427,7 @@ let suite =
     encoding_roundtrip_strings;
     Alcotest.test_case "encoding chooser" `Quick test_encoding_chooser;
     Alcotest.test_case "encoding stats cached" `Quick test_encoding_stats_cached;
+    Alcotest.test_case "distinct count around the bitmap bound" `Quick test_distinct_count_bound;
     Alcotest.test_case "take shares dict" `Quick test_take_shares_dict;
     Alcotest.test_case "database recode" `Quick test_database_recode;
   ]
