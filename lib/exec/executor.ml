@@ -41,6 +41,45 @@ let slot_in slots rel =
     invalid_arg "Executor: relation not in batch"
   else slots.(rel)
 
+(* The live-slot rule. A tuple of plan node [set] keeps the slot of
+   relation [r] only if a later operator reads it: [r] is projected (a
+   MIN column), or [r] has a join edge leaving [set] (a join key or
+   post-filter further up). Every other slot is dropped where the tuple
+   is built. A root with no projection (COUNT only) still keeps its
+   first slot, so every layout has width >= 1. Partially applied once
+   per run: the neighbour masks come from the graph's edges. *)
+let live_relations graph ~projections =
+  let projected =
+    List.fold_left (fun s (rel, _) -> Bitset.add rel s) Bitset.empty projections
+  in
+  let nbr = Array.init (QG.n_relations graph) (QG.adjacency graph) in
+  fun set rels ->
+    match
+      List.filter
+        (fun r -> Bitset.mem r projected || not (Bitset.subset nbr.(r) set))
+        (Array.to_list rels)
+    with
+    | [] -> [| rels.(0) |]
+    | live -> Array.of_list live
+
+(* Positions in layout [src] of [out]'s relations that [src] holds, in
+   [out]'s order: the gather map from an input tuple to its part of an
+   output tuple. *)
+let positions ~out src =
+  let slots = layout src in
+  Array.of_list
+    (List.filter_map
+       (fun r ->
+         if r < Array.length slots && slots.(r) >= 0 then Some slots.(r) else None)
+       (Array.to_list out))
+
+(* Copy the slots at [pos] of row [row] of [src] into [dst] from [at]. *)
+let gather dst at (src : batch) row pos =
+  let base = row * src.width in
+  for k = 0 to Array.length pos - 1 do
+    dst.(at + k) <- src.data.(base + pos.(k))
+  done
+
 let null = Storage.Value.null_code
 
 (* Composite hashes are non-negative ({!Join_table.mix} masks the sign
@@ -209,6 +248,15 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     done;
     if !ok then !h else null_key
   in
+  (* A join's output layout over [set] — the live relations of its
+     outer layout, then of its inner one — with the gather map from
+     each. *)
+  let join_layout =
+    let live = live_relations graph ~projections in
+    fun set orels irels ->
+      let out = live set (Array.append orels irels) in
+      (out, positions ~out orels, positions ~out irels)
+  in
   let keys_equal outer oslots odatas i inner islots idatas j =
     let obase = i * outer.width and ibase = j * inner.width in
     let k = ref 0 and eq = ref true in
@@ -220,12 +268,11 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     done;
     !eq
   in
-  let emit_joined out outer i inner j =
+  let emit_joined out outer i opos inner j ipos =
     batch_reserve out 1;
     let base = out.nrows * out.width in
-    Array.blit outer.data (i * outer.width) out.data base outer.width;
-    Array.blit inner.data (j * inner.width) out.data (base + outer.width)
-      inner.width;
+    gather out.data base outer i opos;
+    gather out.data (base + Array.length opos) inner j ipos;
     out.nrows <- out.nrows + 1;
     check_rows out
   in
@@ -316,7 +363,10 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   (* ---------------- Probe stages ----------------
 
      A stage consumes its input tuples a chunk at a time and emits
-     joined tuples into its slot's [chunk]-row buffer; a full buffer is
+     joined tuples into its slot's [chunk]-row buffer. An output tuple
+     is its input's live slots followed by its inner side's
+     ([join_layout] at the stage's node), gathered through two position
+     arrays fixed when the stage is prepared. A full buffer is
      pushed, in order, to the next stage or the sink, so a stage's
      output is never stored whatever its fan-out. A stage charges its
      operator's work units whether or not it is fused. Emitted rows are
@@ -378,9 +428,9 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           | None -> ());
           jt
     in
-    let out_rels = Array.append in_rels inner.rels in
-    let ow = Array.length in_rels and iw = inner.width in
-    let width = ow + iw in
+    let out_rels, opos, ipos = join_layout node.Plan.set in_rels inner.rels in
+    let ow = Array.length opos in
+    let width = Array.length out_rels in
     let kernel bufs push w (b : batch) lo hi =
       let o = bufs.(w.wslot) in
       let out = o.ob in
@@ -396,8 +446,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
               let j = Join_table.payload jt !e in
               if keys_equal b oslots odatas i inner islots idatas j then begin
                 let base = out.nrows * width in
-                Array.blit b.data (i * ow) out.data base ow;
-                Array.blit inner.data (j * iw) out.data (base + ow) iw;
+                gather out.data base b i opos;
+                gather out.data (base + ow) inner j ipos;
                 out.nrows <- out.nrows + 1;
                 o.orows <- o.orows + 1;
                 o.owk <- o.owk + emit_cost;
@@ -457,10 +507,12 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         f_odatas.(k) <- column_data e.QG.left e.QG.left_col;
         f_idatas.(k) <- column_data e.QG.right e.QG.right_col)
       other_edges;
-    let ow = Array.length in_rels in
-    let width = ow + 1 in
+    let out_rels, opos, ipos = join_layout node.Plan.set in_rels [| inner_rel |] in
+    let ow = Array.length opos in
+    let keep_inner = Array.length ipos > 0 in
+    let width = Array.length out_rels in
     let filters_pass (b : batch) i inner_row =
-      let base = i * ow in
+      let base = i * b.width in
       let k = ref 0 and pass = ref true in
       while !pass && !k < nf do
         let ov = f_odatas.(!k) b.data.(base + f_oslots.(!k)) in
@@ -474,7 +526,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       let out = o.ob in
       for i = lo to hi - 1 do
         o.owk <- o.owk + 4; (* index descent: random access *)
-        let key = outer_key_data b.data.((i * ow) + outer_key_slot) in
+        let key = outer_key_data b.data.((i * b.width) + outer_key_slot) in
         if key <> null then begin
           let matches = Storage.Index.lookup index key in
           o.owk <- o.owk + Array.length matches;
@@ -482,8 +534,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
             let inner_row = matches.(m) in
             if pred inner_row && filters_pass b i inner_row then begin
               let base = out.nrows * width in
-              Array.blit b.data (i * ow) out.data base ow;
-              out.data.(base + ow) <- inner_row;
+              gather out.data base b i opos;
+              if keep_inner then out.data.(base + ow) <- inner_row;
               out.nrows <- out.nrows + 1;
               o.orows <- o.orows + 1;
               o.owk <- o.owk + 1;
@@ -493,13 +545,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         end
       done
     in
-    {
-      node;
-      out_rels = Array.append in_rels [| inner_rel |];
-      rows = Morsel.acc ();
-      kernel;
-      release = ignore;
-    }
+    { node; out_rels; rows = Morsel.acc (); kernel; release = ignore }
   in
 
   (* Wire [st] to its downstream consumer [next]: per-slot output
@@ -585,7 +631,10 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     in
     let okeys, oidx, no = sort_side outer oslots odatas in
     let ikeys, iidx, ni = sort_side inner islots idatas in
-    let out = batch_create (Array.append outer.rels inner.rels) in
+    let out_rels, opos, ipos =
+      join_layout (Bitset.union oset iset) outer.rels inner.rels
+    in
+    let out = batch_create out_rels in
     let i = ref 0 and j = ref 0 in
     while !i < no && !j < ni do
       spend 1;
@@ -606,7 +655,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
             spend 1;
             let oi = oidx.(a) and ij = iidx.(b) in
             if keys_equal outer oslots odatas oi inner islots idatas ij then begin
-              emit_joined out outer oi inner ij;
+              emit_joined out outer oi opos inner ij ipos;
               spend emit_cost
             end
           done

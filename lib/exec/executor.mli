@@ -30,6 +30,20 @@ type result = {
       (** MIN() of each requested projection, when the query finished. *)
 }
 
+val live_relations :
+  Query.Query_graph.t ->
+  projections:(int * int) list ->
+  Util.Bitset.t ->
+  int array ->
+  int array
+(** [live_relations graph ~projections set rels] is the live-slot rule:
+    the relations of layout [rels] (a plan node over [set]) whose row
+    ids some later operator reads, in [rels]'s order. Relation [r] is
+    live iff it is projected or it has a join edge to a relation outside
+    [set]. When none is (a COUNT-only root), the first of [rels] is
+    kept, so a layout is never empty. Apply it to [graph] and
+    [projections] once: the result precomputes the neighbour masks. *)
+
 val run :
   db:Storage.Database.t ->
   graph:Query.Query_graph.t ->
@@ -60,6 +74,15 @@ val run :
     outgrows it, stored or not. Materialized batches are assembled in
     source-morsel order, and the hash build sides of one pipeline are
     all live while it runs.
+
+    A tuple is a row of base-table row ids, one slot per relation that
+    {!live_relations} keeps at its node: a scan's tuple is its own row
+    id, and a join's is its outer input's kept slots followed by its
+    inner input's, each in its input's order. Slots no later operator
+    reads are dropped where the join builds the tuple, so stored batches
+    and stage buffers hold only live slots. Work is charged per row,
+    never per slot, so the layout moves no work unit, checkpoint or
+    timeout.
 
     [pool] decides only where a phase runs (HyPer-style intra-query
     parallelism): a phase over at least two morsels of input runs on

@@ -1,7 +1,7 @@
 (* Shared fixtures and generators for the test suite: a tiny seeded IMDB
    database, randomly generated micro-databases with random join queries
-   over them, and a brute-force join counter to check exact components
-   against. *)
+   over them, and a brute-force join evaluator (COUNT and MIN) to check
+   exact components and executor answers against. *)
 
 module QG = Query.Query_graph
 module Bitset = Util.Bitset
@@ -107,48 +107,86 @@ let micro_query prng db ~relations ~extra_edges =
   in
   QG.create ~name:"micro" rels (tree @ extras)
 
-(* Exact result size of the join of a relation subset, by nested loops
-   over the filtered rows. Only for tiny inputs. *)
-let brute_force_count graph subset =
-  let members = Bitset.to_list subset in
-  let filtered =
-    List.map
+(* Every joined tuple of a relation subset, by nested loops over the
+   filtered rows: relations are bound in index order and each edge is
+   checked once both its ends are bound. [f] sees the row bound to each
+   member (indexed by relation). Only for small inputs. *)
+let brute_force_iter graph subset f =
+  let members = Array.of_list (Bitset.to_list subset) in
+  let rows =
+    Array.map
       (fun r ->
         let relation = QG.relation graph r in
         let pred = Query.Predicate.compile relation.QG.table relation.QG.preds in
         let n = Storage.Table.row_count relation.QG.table in
-        let rows = ref [] in
-        for row = n - 1 downto 0 do
-          if pred row then rows := row :: !rows
-        done;
-        (r, !rows))
+        Array.of_list (List.filter pred (List.init n Fun.id)))
       members
-  in
-  let edges =
-    List.filter
-      (fun (e : QG.edge) -> Bitset.mem e.QG.left subset && Bitset.mem e.QG.right subset)
-      (QG.edges graph)
   in
   let value rel col row =
     Storage.Column.get (Storage.Table.column (QG.relation graph rel).QG.table col) row
   in
-  let count = ref 0 in
-  let rec loop assignment = function
-    | [] ->
-        let ok =
-          List.for_all
-            (fun (e : QG.edge) ->
-              let l = value e.QG.left e.QG.left_col (List.assoc e.QG.left assignment) in
-              let r = value e.QG.right e.QG.right_col (List.assoc e.QG.right assignment) in
-              l <> Storage.Value.null_code && l = r)
-            edges
-        in
-        if ok then incr count
-    | (rel, rows) :: rest ->
-        List.iter (fun row -> loop ((rel, row) :: assignment) rest) rows
+  (* The edges to check when member [k] is bound: those whose other end
+     is an earlier member. *)
+  let checks =
+    Array.map
+      (fun r ->
+        List.filter
+          (fun (e : QG.edge) ->
+            let other = if e.QG.left = r then e.QG.right else e.QG.left in
+            (e.QG.left = r || e.QG.right = r) && Bitset.mem other subset && other < r)
+          (QG.edges graph))
+      members
   in
-  loop [] filtered;
+  let bound = Array.make (QG.n_relations graph) (-1) in
+  let rec loop k =
+    if k = Array.length members then f bound
+    else
+      Array.iter
+        (fun row ->
+          bound.(members.(k)) <- row;
+          if
+            List.for_all
+              (fun (e : QG.edge) ->
+                let l = value e.QG.left e.QG.left_col bound.(e.QG.left) in
+                let r = value e.QG.right e.QG.right_col bound.(e.QG.right) in
+                l <> Storage.Value.null_code && l = r)
+              checks.(k)
+          then loop (k + 1))
+        rows.(k)
+  in
+  loop 0
+
+(* Exact result size of the join of a relation subset. *)
+let brute_force_count graph subset =
+  let count = ref 0 in
+  brute_force_iter graph subset (fun _ -> incr count);
   !count
+
+(* COUNT and MIN of each [(rel, col)] projection over the full join, the
+   way SQL defines them: MIN ignores NULLs and is NULL over no value. *)
+let brute_force_mins graph projections =
+  let count = ref 0 in
+  let best = Array.make (List.length projections) Storage.Value.null_code in
+  let columns =
+    List.map
+      (fun (rel, col) -> (rel, Storage.Table.column (QG.relation graph rel).QG.table col))
+      projections
+  in
+  brute_force_iter graph (QG.full_set graph) (fun bound ->
+      incr count;
+      List.iteri
+        (fun k (rel, column) ->
+          let v = Storage.Column.get column bound.(rel) in
+          if v <> Storage.Value.null_code
+             && (best.(k) = Storage.Value.null_code || v < best.(k))
+          then best.(k) <- v)
+        columns);
+  ( !count,
+    List.mapi
+      (fun k (_, column) ->
+        if best.(k) = Storage.Value.null_code then Storage.Value.Null
+        else Storage.Column.code_value column best.(k))
+      columns )
 
 let qcheck_case ?(count = 30) ~name arbitrary law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary law)

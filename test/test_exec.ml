@@ -194,6 +194,154 @@ let merge_join_agrees_with_hash =
       let result = run db g plan in
       all_merge && result.Exec.Executor.rows = expected)
 
+(* Every plan shape against the brute-force oracle, with projections:
+   random micro graphs (cyclic ones included) and zero to three random
+   [(rel, col)] MIN projections — zero is a COUNT-only root, which keeps
+   exactly one slot. DP with hash/INL joins, DP with NL joins allowed,
+   Quickpick, left-deep DP, an all-merge-join DP plan, the DP plan under
+   an attached observer (every node materialized) and the DP plan on a
+   2-domain pool must each return the oracle's COUNT and MINs: a slot
+   dropped too early raises, one gathered from the wrong position
+   returns a wrong MIN. *)
+let oracle_law ~rows (seed, relations) =
+  let prng = Util.Prng.create seed in
+  let db = Support.micro_db prng ~tables:relations ~rows in
+  let g =
+    Support.micro_query prng db ~relations ~extra_edges:(Util.Prng.int prng 3)
+  in
+  let projections =
+    List.init (Util.Prng.int prng 4) (fun _ ->
+        let rel = Util.Prng.int prng relations in
+        let table = (QG.relation g rel).QG.table in
+        (rel, Util.Prng.int prng (Storage.Table.column_count table)))
+  in
+  let expected = Support.brute_force_mins g projections in
+  let card = Cardest.True_card.card (Cardest.True_card.compute g) in
+  let search ?allow_nl ?allow_hash ?shape ?(card = card) model =
+    Planner.Search.create ?allow_nl ?allow_hash ?shape ~model ~graph:g ~db ~card ()
+  in
+  let dp s = fst (Planner.Dp.optimize s) in
+  Storage.Database.set_index_config db Storage.Database.No_indexes;
+  let merge = dp (search ~allow_hash:false Cost.Cost_model.cmm) in
+  let all_merge =
+    Plan.fold
+      (fun acc (n : Plan.t) ->
+        acc
+        && match n.Plan.op with
+           | Plan.Join { algo; _ } -> algo = Plan.Merge_join
+           | Plan.Scan _ -> true)
+      true merge
+  in
+  Storage.Database.set_index_config db Storage.Database.Pk_fk;
+  let hash_inl = dp (search Cost.Cost_model.cmm) in
+  let config =
+    {
+      Exec.Engine_config.default_9_4 with
+      Exec.Engine_config.work_limit = max_int / 2;
+      row_limit = max_int / 2;
+    }
+  in
+  let answer ?observe ?pool plan =
+    let r =
+      Exec.Executor.run ~db ~graph:g ~config ~size_est:card ?observe ?pool
+        ~projections plan
+    in
+    (r.Exec.Executor.rows, r.Exec.Executor.mins)
+  in
+  let pool = Util.Domain_pool.create ~domains:2 in
+  let answers =
+    Fun.protect
+      ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+      (fun () ->
+        [
+          answer hash_inl;
+          (* Estimates of 1 row make the NL join look cheapest. *)
+          answer
+            (dp
+               (search ~allow_nl:true ~card:(fun _ -> 1.0)
+                  Cost.Cost_model.postgres));
+          answer
+            (fst
+               (Planner.Quickpick.sample (search Cost.Cost_model.cmm)
+                  (Util.Prng.create seed)));
+          answer (dp (search ~shape:Planner.Search.Only_left_deep Cost.Cost_model.cmm));
+          answer merge;
+          answer ~observe:(fun _ ~rows:_ ~work:_ -> ()) hash_inl;
+          answer ~pool hash_inl;
+        ])
+  in
+  let same (rows, mins) (rows', mins') =
+    rows = rows' && List.equal Storage.Value.equal mins mins'
+  in
+  all_merge && List.for_all (same expected) answers
+
+let plans_match_oracle =
+  Support.qcheck_case ~count:100
+    ~name:"oracle COUNT and MIN, all plan shapes"
+    QCheck.(pair (int_bound 100_000) (int_range 2 5))
+    (oracle_law ~rows:60)
+
+(* The same law with base tables past two 4096-row morsels, so the
+   2-domain pool really splits the scans. *)
+let plans_match_oracle_on_pool =
+  Support.qcheck_case ~count:3
+    ~name:"oracle COUNT and MIN on the pool"
+    QCheck.(pair (int_bound 100_000) (int_range 2 3))
+    (oracle_law ~rows:8200)
+
+(* The chain t0 <- t1 <- t2 over a 3-table micro database: t1.fk0 =
+   t0.id and t2.fk1 = t1.id. *)
+let chain_graph db =
+  let table i = Storage.Database.find_table db (Printf.sprintf "t%d" i) in
+  let edge child parent =
+    {
+      QG.left = child;
+      left_col =
+        Storage.Table.column_index (table child) (Printf.sprintf "fk%d" parent);
+      right = parent;
+      right_col = Storage.Table.column_index (table parent) "id";
+      pk_side = Some `Right;
+    }
+  in
+  QG.create ~name:"chain"
+    (Array.init 3 (fun i ->
+         { QG.idx = i; alias = Printf.sprintf "t%d" i; table = table i; preds = [] }))
+    [ edge 1 0; edge 2 1 ]
+
+let test_live_relations () =
+  let db = Support.micro_db (Util.Prng.create 3) ~tables:3 ~rows:25 in
+  let g = chain_graph db in
+  let live projections set rels =
+    Exec.Executor.live_relations g ~projections (Bitset.of_list set) rels
+  in
+  let check = Alcotest.(check (array int)) in
+  check "edges all inside the set: dropped" [| 1 |] (live [] [ 0; 1 ] [| 0; 1 |]);
+  check "projected, no edge leaving the set: kept" [| 0; 1 |]
+    (live [ (0, 1) ] [ 0; 1 ] [| 0; 1 |]);
+  check "the layout's order is kept" [| 1; 0 |]
+    (live [ (0, 1) ] [ 0; 1 ] [| 1; 0 |]);
+  check "COUNT-only root: exactly its first slot" [| 2 |]
+    (live [] [ 0; 1; 2 ] [| 2; 0; 1 |]);
+  check "projected root: the projected slots only" [| 0 |]
+    (live [ (0, 1); (0, 0) ] [ 0; 1; 2 ] [| 2; 0; 1 |])
+
+(* A COUNT-only root keeps one slot even when the root is a merge join,
+   which materializes its output. *)
+let test_count_only_merge_root () =
+  let db = Support.micro_db (Util.Prng.create 4) ~tables:3 ~rows:40 in
+  Storage.Database.set_index_config db Storage.Database.No_indexes;
+  let g = chain_graph db in
+  let merge outer inner = Plan.join Plan.Merge_join ~outer ~inner in
+  let plan = merge (merge (Plan.scan 2) (Plan.scan 1)) (Plan.scan 0) in
+  let truth =
+    Cardest.True_card.card (Cardest.True_card.compute g) (QG.full_set g)
+  in
+  let r = run db g plan in
+  Alcotest.(check bool) "rows > 0" true (r.Exec.Executor.rows > 0);
+  Alcotest.(check int) "rows = true card" (int_of_float truth) r.Exec.Executor.rows;
+  Alcotest.(check (list string)) "no MINs" []
+    (List.map Storage.Value.to_string r.Exec.Executor.mins)
+
 let test_merge_join_costs_more_than_hash () =
   (* The paper's work_mem observation: in memory, hashing beats
      sort-merge. Same join, both algorithms. *)
@@ -498,6 +646,11 @@ let suite =
     join_table_finds_all;
     all_plans_agree;
     merge_join_agrees_with_hash;
+    plans_match_oracle;
+    plans_match_oracle_on_pool;
+    Alcotest.test_case "live-slot rule" `Quick test_live_relations;
+    Alcotest.test_case "COUNT-only merge-join root" `Quick
+      test_count_only_merge_root;
     Alcotest.test_case "merge join slower in memory" `Quick
       test_merge_join_costs_more_than_hash;
     Alcotest.test_case "rows match truth" `Quick test_executor_rows_match_truth;
