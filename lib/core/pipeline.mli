@@ -16,8 +16,7 @@
 
     so a full regeneration of all paper results computes each distinct
     plan exactly once. Hit/miss/enumeration counters are exposed via
-    {!stats} and surfaced by [jobench experiment --stats] and
-    [bench/main.exe].
+    {!stats} and surfaced by [jobench experiment --stats].
 
     The pipeline is domain-safe: the three memo tables are sharded
     ({!Util.Shard_map}) and hold {!Util.Once} cells, so concurrent

@@ -8,7 +8,7 @@
     returns the typed value or a structured {!error} naming the unknown
     input and listing every valid alternative — replacing the bare
     [failwith]/[Not_found] string dispatch that used to be duplicated
-    across [Session], [Harness], [bin/jobench.ml] and [bench/main.ml].
+    across [Session], [Harness] and [bin/jobench.ml].
 
     The generic ['a t] is also the backbone for registries owned by
     other layers (e.g. the experiment catalog in [lib/experiments]). *)

@@ -1,8 +1,8 @@
 (** The experiment catalog: every paper table/figure reproduction
     registered once with its canonical ID, a one-line description, and
-    its render function. Both [jobench experiment] and [bench/main.exe]
-    derive their experiment lists from here, so an experiment added to
-    the catalog shows up in every driver. *)
+    its render function. [jobench experiment] derives its experiment
+    list from here, so an experiment added to the catalog shows up in
+    [jobench experiment all] and in [--help]. *)
 
 type entry = {
   id : string;

@@ -38,8 +38,7 @@ type arm = {
   replans : int;
 }
 
-(* Per-system aggregate over the workload, also consumed by
-   bench/main.exe for BENCH_reopt.json. *)
+(* Per-system aggregate over the workload. *)
 type summary = {
   system : string;
   off_slows : float array;
@@ -53,8 +52,6 @@ type summary = {
   best_off : float;
   best_on : float;
 }
-
-let last_summaries : summary list Atomic.t = Atomic.make []
 
 let arm_of_outcome ~base_ms (o : Reopt.Driver.outcome) =
   let r = o.Reopt.Driver.result in
@@ -227,7 +224,6 @@ let sweep h =
 
 let render h =
   let summaries = measure h in
-  Atomic.set last_summaries summaries;
   let main =
     Util.Render.table
       ~title:

@@ -13,24 +13,4 @@ val threshold : float Atomic.t
 (** Q-error trip point for the main table (default 2.0); set by
     [jobench experiment --reopt-threshold]. *)
 
-type summary = {
-  system : string;
-  off_slows : float array;
-  on_slows : float array;
-  replans : int;
-  replanned_queries : int;
-  off_ms : float;
-  on_ms : float;
-  comparable : int;
-  best_query : string;
-  best_off : float;
-  best_on : float;
-}
-
-val last_summaries : summary list Atomic.t
-(** Per-system aggregates of the most recent {!render}/{!measure}, read
-    by [bench/main.exe] to write BENCH_reopt.json without re-measuring. *)
-
-val measure : Harness.t -> summary list
-
 val render : Harness.t -> string

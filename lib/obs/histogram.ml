@@ -71,12 +71,3 @@ let percentile sample q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
-
-(* Upper median: element n/2 of the sorted sample (for even n, the
-   higher of the two central values) — what the bench harness has
-   always reported for --repeat aggregation. *)
-let median_of_list xs =
-  if xs = [] then invalid_arg "Histogram.median_of_list: empty sample";
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)

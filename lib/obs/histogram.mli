@@ -3,11 +3,9 @@
 
     The bucketed form is what the metrics registry aggregates: 64
     power-of-two buckets, constant memory, mergeable. The exact
-    functions ({!percentile}, {!median_of_list}) are the shared home of
-    the quantile math that used to live separately in [Serve.Report]
-    (nearest-rank p50/p95/p99) and [bench/main.ml] (upper median of
-    repeat samples) — both layers now call here, so the reported values
-    are byte-identical to what those local copies produced. *)
+    {!percentile} holds the nearest-rank p50/p95/p99 math that used to
+    live in [Serve.Report]; the serve report calls here, so its values
+    are byte-identical to what the local copy produced. *)
 
 type t
 
@@ -43,7 +41,3 @@ val approx_quantile : t -> float -> int
 val percentile : float array -> float -> float
 (** Nearest-rank percentile over an unsorted exact sample; [q] in
     [0, 1]. The serving report's p50/p95/p99. *)
-
-val median_of_list : float list -> float
-(** Upper median ([a.(n / 2)] of the sorted sample) — the bench
-    harness's repeat aggregation. Raises [Invalid_argument] on []. *)

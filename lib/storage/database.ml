@@ -83,8 +83,6 @@ let index t ~table ~col =
   if List.mem col (configured_columns t table) then Some (cached_index t ~table ~col)
   else None
 
-let force_index t ~table ~col = cached_index t ~table ~col
-
 let total_rows t =
   Hashtbl.fold (fun _ table acc -> acc + Table.row_count table) t.tables 0
 

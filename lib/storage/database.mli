@@ -29,10 +29,6 @@ val index : t -> table:string -> col:int -> Index.t option
 (** The index on [table.col] if the current configuration provides one
     (built lazily, cached forever). *)
 
-val force_index : t -> table:string -> col:int -> Index.t
-(** Index regardless of configuration — used internally by exact
-    cardinality computation, never by the optimizer. *)
-
 val total_rows : t -> int
 
 val recode : t -> Column.encoding -> t

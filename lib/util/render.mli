@@ -1,10 +1,9 @@
 (** Plain-text rendering of the paper's tables and figures.
 
-    The benchmark harness prints every reproduced table as an aligned ASCII
-    table and every figure as an ASCII chart (log-scale boxplot strips for
-    Figure 3-style plots, bar histograms for Figure 6/7-style plots), so
-    the whole evaluation is readable straight from [dune exec
-    bench/main.exe]. *)
+    Every reproduced table prints as an aligned ASCII table and every
+    figure as an ASCII chart (log-scale boxplot strips for Figure 3-style
+    plots, bar histograms for Figure 6/7-style plots), so the whole
+    evaluation is readable straight from [jobench experiment all]. *)
 
 val table :
   ?title:string -> header:string list -> string list list -> string

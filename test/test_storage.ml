@@ -183,10 +183,7 @@ let test_database_index_config () =
   Alcotest.(check bool) "pk: pk yes" true (has 0);
   Alcotest.(check bool) "pk: fk no" false (has 1);
   Storage.Database.set_index_config db Storage.Database.Pk_fk;
-  Alcotest.(check bool) "pkfk: fk yes" true (has 1);
-  (* force_index ignores configuration *)
-  Storage.Database.set_index_config db Storage.Database.No_indexes;
-  ignore (Storage.Database.force_index db ~table:"demo" ~col:2)
+  Alcotest.(check bool) "pkfk: fk yes" true (has 1)
 
 let dict_intern_roundtrip =
   Support.qcheck_case ~name:"dict intern/get roundtrip"
