@@ -15,13 +15,18 @@ exception Timeout
    scheduled, pushed and budget-checked in. *)
 let chunk = 4096
 
+(* Words per staging segment of the materializing sink. Each worker
+   that stages zeroes at least one segment per query, so they stay
+   small: at 16 K words serve-zipf's scan self time doubled. *)
+let seg_words = 4096
+
 (* Row-major tuple store: materialized intermediates, and the
    [chunk]-row buffers pipeline stages emit into. *)
 type batch = {
   rels : int array;
   slots : int array;  (* relation index -> slot, -1 when absent *)
   width : int;
-  mutable data : int array;
+  data : int array;
   mutable nrows : int;
 }
 
@@ -111,28 +116,36 @@ let phase_of (p : Plan.t) =
 
 (* Per-slot scratch for morsel phases. A slot is owned by at most one
    running worker at a time ({!Util.Domain_pool.run_workers}'s
-   contract), so nothing here is locked. [wbuf] is the materializing
-   sink's staging area: each claimed morsel's output lands there
-   contiguously and the caller stitches the segments back together in
+   contract), so nothing here is locked. [wsegs] is the materializing
+   sink's staging area: [seg_words]-word segments, appended and never
+   regrown, holding the slot's output of the phase as one word stream;
+   the caller copies each morsel's run of it into the stored batch in
    morsel-index order, which is what makes materialized batches
    independent of how many slots ran the pipeline. *)
 type wstate = {
   wslot : int;
-  mutable wbuf : int array;
-  mutable wlen : int;
+  mutable wsegs : int array array;
+  mutable wlen : int; (* words staged in the current phase *)
   wsel : int array; (* scan selection-vector scratch *)
   mutable wfill : (int array -> int -> int -> int) option;
       (* per-phase selector instance (owns mutable decode scratch) *)
   mutable wclaims : int; (* morsels claimed in the current phase *)
 }
 
-let wbuf_reserve w extra =
-  let needed = w.wlen + extra in
-  if needed > Array.length w.wbuf then begin
-    let bigger = Array.make (max needed (2 * Array.length w.wbuf)) 0 in
-    Array.blit w.wbuf 0 bigger 0 w.wlen;
-    w.wbuf <- bigger
-  end
+(* Cut words [off, off + len) of [w]'s staging into runs that each lie
+   in one segment, appending segments as staging reaches them:
+   [f seg at k n] for the [n] words at [seg.(at)], the [k]-th word of
+   the range onwards. *)
+let seg_runs w off len f =
+  let k = ref 0 in
+  while !k < len do
+    let s = (off + !k) / seg_words and at = (off + !k) mod seg_words in
+    if s = Array.length w.wsegs then
+      w.wsegs <- Array.append w.wsegs [| Array.make seg_words 0 |];
+    let n = min (len - !k) (seg_words - at) in
+    f w.wsegs.(s) at !k n;
+    k := !k + n
+  done
 
 (* [consume w b lo hi] feeds rows [lo, hi) of [b] to a pipeline stage or
    sink, on worker slot [w]. *)
@@ -166,9 +179,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     work := !work + n;
     if !work > limit then raise Timeout
   in
-  (* The work_mem stand-in: one intermediate result outgrowing the row
-     budget counts as a timeout. *)
-  let check_rows (b : batch) = if b.nrows > row_limit then raise Timeout in
   (* Random-access code readers (the column layer is sealed; flat columns
      compile to a plain array load, packed ones to shift/mask). *)
   let column_data rel col =
@@ -202,18 +212,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   let pool_release a = if Array.length a >= 1024 then scratch := a :: !scratch in
   let retire b = pool_release b.data in
 
-  let batch_create ?(rows = 16) rels =
-    batch_of rels (pool_acquire (max 16 (Array.length rels * rows))) 0
-  in
-  let batch_reserve b extra_rows =
-    let needed = (b.nrows + extra_rows) * b.width in
-    if needed > Array.length b.data then begin
-      let bigger = pool_acquire (max needed (2 * Array.length b.data)) in
-      Array.blit b.data 0 bigger 0 (b.nrows * b.width);
-      pool_release b.data;
-      b.data <- bigger
-    end
-  in
+  (* A [chunk]-row buffer: what a stage emits into. *)
+  let chunk_batch rels = batch_of rels (pool_acquire (Array.length rels * chunk)) 0 in
 
   (* Join-key accessors per edge, preextracted into flat parallel arrays
      (slot and column data) for a tuple layout, so the per-row key loop
@@ -268,14 +268,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     done;
     !eq
   in
-  let emit_joined out outer i opos inner j ipos =
-    batch_reserve out 1;
-    let base = out.nrows * out.width in
-    gather out.data base outer i opos;
-    gather out.data (base + Array.length opos) inner j ipos;
-    out.nrows <- out.nrows + 1;
-    check_rows out
-  in
 
   (* ---------------- Morsel phases ----------------
 
@@ -301,7 +293,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     Array.init nworkers (fun slot ->
         {
           wslot = slot;
-          wbuf = Array.make chunk 0;
+          wsegs = [||];
           wlen = 0;
           wsel = Array.make chunk 0;
           wfill = None;
@@ -347,6 +339,26 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     | _ -> drain 0);
     work := !work + Morsel.total phase_work
   in
+  (* Store what the slots staged as a batch of layout [rels]: one
+     exact-size array, into which morsel [m]'s [m_cnt.(m)] words are
+     copied from slot [m_src.(m)]'s staging at [m_off.(m)], in morsel
+     order. Each slot then keeps at most its first segment, so no slot
+     holds a phase's high-water mark into the next. *)
+  let assemble rels m_src m_off m_cnt =
+    let data = Array.make (Array.fold_left ( + ) 0 m_cnt) 0 in
+    let at = ref 0 in
+    Array.iteri
+      (fun m cnt ->
+        let base = !at in
+        seg_runs workers.(m_src.(m)) m_off.(m) cnt (fun seg o k n ->
+            Array.blit seg o data (base + k) n);
+        at := base + cnt)
+      m_cnt;
+    Array.iter
+      (fun w -> if Array.length w.wsegs > 1 then w.wsegs <- [| w.wsegs.(0) |])
+      workers;
+    batch_of rels data (!at / Array.length rels)
+  in
 
   (* Checkpoint instrumentation: after a node's result is complete,
      report its exact cardinality and the work spent so far. [observe]
@@ -390,42 +402,28 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
              build's work charges): straight to the probe. *)
           jt
       | None ->
+          (* Build, two-step: a morsel phase computes every build row's
+             key hash (1 work unit per row, NULL keys included) —
+             disjoint writes into one row-indexed array, which the table
+             adopts as its hash column, so entry j is build row j
+             whatever the schedule — then one seal links chains in
+             canonical ascending-row order and charges the resize bill. *)
+          let n = inner.nrows in
+          let hashes = Array.make n 0 in
+          run_phase ~n (fun _w _m lo hi ->
+              for j = lo to hi - 1 do
+                hashes.(j) <- tuple_key inner islots idatas j
+              done;
+              if charge_hash then charge_work (hi - lo));
           let jt =
             Join_table.create
               ~bucket_floor:config.Engine_config.hash_bucket_floor
-              ~estimated_rows:table_size ~actual_rows:inner.nrows
-              ~resizable:config.Engine_config.resize_hash_tables ()
+              ~estimated_rows:table_size
+              ~resizable:config.Engine_config.resize_hash_tables hashes
           in
-          (* Build, two-phase: a morsel phase computes every build row's
-             key hash (1 work unit per row, NULL keys included) — disjoint
-             writes into a shared buffer — then the calling domain
-             appends the entries in row order, so payload numbering never
-             depends on the schedule, and one seal links chains in
-             canonical ascending-payload order and charges the resize
-             bill. *)
-          let n = inner.nrows in
-          let kbuf = pool_acquire n in
-          run_phase ~n (fun _w _m lo hi ->
-              for j = lo to hi - 1 do
-                kbuf.(j) <- tuple_key inner islots idatas j
-              done;
-              if charge_hash then charge_work (hi - lo));
-          for j = 0 to n - 1 do
-            let h = kbuf.(j) in
-            if h <> null_key then Join_table.append jt ~hash:h ~payload:j
-          done;
-          pool_release kbuf;
           let seal_work = Join_table.seal jt in
           if charge_hash then spend seal_work;
-          (* Publish to the recycling cache while the build batch is
-             still alive: the row-id copy must happen before [release]
-             returns the batch's array to the scratch pool. *)
-          (match install with
-          | Some f ->
-              f
-                ~rows:(Array.sub inner.data 0 inner.nrows)
-                ~nrows:inner.nrows ~table:jt ~seal_work
-          | None -> ());
+          Option.iter (fun f -> f ~table:jt ~seal_work) install;
           jt
     in
     let out_rels, opos, ipos = join_layout node.Plan.set in_rels inner.rels in
@@ -443,7 +441,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           while !e >= 0 do
             incr chain;
             if Join_table.entry_hash jt !e = h then begin
-              let j = Join_table.payload jt !e in
+              let j = !e in
               if keys_equal b oslots odatas i inner islots idatas j then begin
                 let base = out.nrows * width in
                 gather out.data base b i opos;
@@ -554,7 +552,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   let connect st next =
     let bufs =
       Array.init nworkers (fun _ ->
-          { ob = batch_create ~rows:chunk st.out_rels; owk = 0; orows = 0 })
+          { ob = chunk_batch st.out_rels; owk = 0; orows = 0 })
     in
     let settle o =
       charge st.rows o.owk o.orows;
@@ -577,11 +575,10 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
   in
 
   (* The materializing sink: copy the tuples into the slot's staging
-     area; {!materialize} assembles the segments by morsel index. *)
-  let stage_into_wbuf w (b : batch) lo hi =
-    let len = (hi - lo) * b.width in
-    wbuf_reserve w len;
-    Array.blit b.data (lo * b.width) w.wbuf w.wlen len;
+     segments; [assemble] stores them by morsel index. *)
+  let stage w (b : batch) lo hi =
+    let pos = lo * b.width and len = (hi - lo) * b.width in
+    seg_runs w w.wlen len (fun seg at k n -> Array.blit b.data (pos + k) seg at n);
     w.wlen <- w.wlen + len
   in
 
@@ -634,7 +631,17 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     let out_rels, opos, ipos =
       join_layout (Bitset.union oset iset) outer.rels inner.rels
     in
-    let out = batch_create out_rels in
+    let width = Array.length out_rels and ow = Array.length opos in
+    (* Joined tuples fill a [chunk]-row buffer staged, when full, in
+       slot 0's segments: the materializing sink's path, one morsel. *)
+    let w0 = workers.(0) in
+    w0.wlen <- 0;
+    let out = chunk_batch out_rels in
+    let flush () =
+      stage w0 out 0 out.nrows;
+      out.nrows <- 0
+    in
+    let rows = ref 0 in
     let i = ref 0 and j = ref 0 in
     while !i < no && !j < ni do
       spend 1;
@@ -655,7 +662,15 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
             spend 1;
             let oi = oidx.(a) and ij = iidx.(b) in
             if keys_equal outer oslots odatas oi inner islots idatas ij then begin
-              emit_joined out outer oi opos inner ij ipos;
+              (* The work_mem stand-in: an output outgrowing the row
+                 budget counts as a timeout. *)
+              incr rows;
+              if !rows > row_limit then raise Timeout;
+              let base = out.nrows * width in
+              gather out.data base outer oi opos;
+              gather out.data (base + ow) inner ij ipos;
+              out.nrows <- out.nrows + 1;
+              if out.nrows = chunk then flush ();
               spend emit_cost
             end
           done
@@ -664,11 +679,13 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         j := !j_end
       end
     done;
+    flush ();
+    pool_release out.data;
     pool_release okeys;
     pool_release ikeys;
     retire outer;
     retire inner;
-    out
+    assemble out_rels [| 0 |] [| 0 |] [| w0.wlen |]
   in
 
   (* ---------------- Pipelines ----------------
@@ -699,35 +716,12 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         checkpoint p.Plan.set b.nrows;
         b
     | Plan.Scan _ | Plan.Join _ ->
-        let rels, m_src, m_off, m_cnt =
-          pipeline p ~sink:(fun _ -> stage_into_wbuf)
-        in
-        let w0 = workers.(0) in
-        if Array.for_all (fun slot -> slot = 0) m_src then begin
-          (* Slot 0 staged every morsel, in claim order — which is
-             morsel order — so its staging area already is the batch:
-             hand it over instead of copying it. *)
-          let out = batch_of rels w0.wbuf (w0.wlen / Array.length rels) in
-          w0.wbuf <- pool_acquire chunk;
-          out
-        end
-        else begin
-          let out = batch_create rels in
-          batch_reserve out (Array.fold_left ( + ) 0 m_cnt / out.width);
-          Array.iteri
-            (fun m cnt ->
-              if cnt > 0 then begin
-                Array.blit workers.(m_src.(m)).wbuf m_off.(m) out.data
-                  (out.nrows * out.width) cnt;
-                out.nrows <- out.nrows + (cnt / out.width)
-              end)
-            m_cnt;
-          out
-        end
+        let rels, m_src, m_off, m_cnt = pipeline p ~sink:(fun _ -> stage) in
+        assemble rels m_src m_off m_cnt
 
   (* Run the pipeline computing [p] into the consumer [sink rels] makes
      for its output layout [rels]. Returns that layout and, per source
-     morsel, the slot, offset and length of what it staged in [wbuf]. *)
+     morsel, the slot, offset and length in words of what it staged. *)
   and pipeline (p : Plan.t) ~sink =
     let t0 = Obs.Trace.start () in
     let source, rev_stages, rels = plan_pipeline p in
@@ -884,11 +878,14 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
                    and must never enter the scratch pool. *)
                 hash ~retire_inner:false ~prebuilt:entry.Join_cache.e_table ib
             | None ->
+                (* A miss publishes the stored build side itself, exact
+                   size, with its table; [retire_inner:false] keeps it
+                   out of the scratch pool from then on. *)
                 let ib = materialize inner in
-                hash
-                  ~install:(fun ~rows ~nrows ~table ~seal_work ->
-                    Join_cache.install c key ~rows ~nrows ~table
-                      ~scan_work:scan_rows ~build_work:nrows ~seal_work)
+                hash ~retire_inner:false
+                  ~install:(fun ~table ~seal_work ->
+                    Join_cache.install c key ~rows:ib.data ~nrows:ib.nrows
+                      ~table ~scan_work:scan_rows ~build_work:ib.nrows ~seal_work)
                   ib)
         | _ -> hash (materialize inner))
   in

@@ -70,10 +70,16 @@ val run :
     into a 4096-row per-worker buffer pushed to the next stage when
     full, so a probe-side intermediate is never stored whatever its
     fan-out. Every stage charges its operator's work units whether or
-    not it is fused, and keeps its own row total, so [row_limit] trips on any intermediate that
-    outgrows it, stored or not. Materialized batches are assembled in
-    source-morsel order, and the hash build sides of one pipeline are
-    all live while it runs.
+    not it is fused, and keeps its own row total, so [row_limit] trips
+    on any intermediate that outgrows it, stored or not. A materializing sink copies each
+    morsel's tuples into its worker's fixed-size staging segments,
+    appended and never regrown; after the phase the calling domain
+    stores them in one exact-size array (rows x live width words), in
+    source-morsel order, and each worker keeps at most one segment.
+    Merge-join output is staged the same way. A hash build adopts the
+    key hashes of its build phase as its table's hash column, so a
+    stored build side exists once as tuples and once as hashes. The
+    hash build sides of one pipeline are all live while it runs.
 
     A tuple is a row of base-table row ids, one slot per relation that
     {!live_relations} keeps at its node: a scan's tuple is its own row

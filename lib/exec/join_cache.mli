@@ -75,8 +75,8 @@ val install :
   build_work:int ->
   seal_work:int ->
   unit
-(** Publish a freshly sealed build. [rows] must be a private copy (the
-    executor's scratch arrays are pooled and recycled); [table] must be
+(** Publish a freshly sealed build. [rows] must never be written again
+    (the executor keeps it out of its scratch pool); [table] must be
     sealed and never touched again. First writer wins on a racing key;
     an install that pushes the cache over budget evicts least-recently
     used entries until it fits (possibly including the new entry). *)

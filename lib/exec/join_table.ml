@@ -1,10 +1,9 @@
 type t = {
   mutable buckets : int array; (* head index into entries, -1 = empty *)
   mutable mask : int;
-  mutable next : int array;
-  mutable hashes : int array;
-  mutable payloads : int array;
-  mutable count : int;
+  next : int array;
+  hashes : int array; (* entry i is build row i; negative = NULL key *)
+  count : int; (* non-NULL entries *)
   resizable : bool;
   initial_buckets : int; (* bucket count at creation, for seal's replay *)
 }
@@ -33,26 +32,23 @@ let planned_buckets ?(bucket_floor = 1024) ~estimated_rows () =
   in
   next_pow2 est
 
-let create ?(bucket_floor = 1024) ~estimated_rows ?actual_rows ~resizable () =
+let create ?(bucket_floor = 1024) ~estimated_rows ~resizable hashes =
   (* PostgreSQL floors its hash tables at ~1k buckets regardless of the
      estimate; without the floor every underestimate is a catastrophe
      rather than a slowdown. The floor is a parameter so the ablation
      bench can quantify exactly that.
 
      Buckets are always sized from the optimizer's *estimate* — that is
-     the paper's pathology and must stay. [actual_rows], when the build
-     side's true cardinality is already known (the executor has the
-     materialized batch in hand), pre-sizes only the entry arrays so a
-     big build skips the ~15 doubling copies. *)
+     the paper's pathology and must stay. The entries are the build
+     rows themselves: the table adopts the caller's row-indexed hash
+     array instead of copying it. *)
   let n_buckets = planned_buckets ~bucket_floor ~estimated_rows () in
-  let entry_cap = max 64 (match actual_rows with Some r -> r | None -> 64) in
   {
     buckets = Array.make n_buckets (-1);
     mask = n_buckets - 1;
-    next = Array.make entry_cap (-1);
-    hashes = Array.make entry_cap 0;
-    payloads = Array.make entry_cap 0;
-    count = 0;
+    next = Array.make (Array.length hashes) (-1);
+    hashes;
+    count = Array.fold_left (fun c h -> if h >= 0 then c + 1 else c) 0 hashes;
     resizable;
     initial_buckets = n_buckets;
   }
@@ -62,45 +58,10 @@ let bucket_count t = Array.length t.buckets
 let entry_count t = t.count
 
 (* Physical footprint of the table's arrays (words, at 8 bytes each),
-   for the recycling cache's byte budget. Counts capacities, not
-   [count]: retained garbage headroom is still resident memory. *)
+   for the recycling cache's byte budget. Counts every build row, not
+   [count]: a NULL-key row's slots are resident too. *)
 let byte_size t =
-  8
-  * (Array.length t.buckets + Array.length t.next + Array.length t.hashes
-    + Array.length t.payloads)
-
-let grow_entries t =
-  let capacity = Array.length t.next in
-  if t.count = capacity then begin
-    let resize a fill =
-      let bigger = Array.make (2 * capacity) fill in
-      Array.blit a 0 bigger 0 capacity;
-      bigger
-    in
-    t.next <- resize t.next (-1);
-    t.hashes <- resize t.hashes 0;
-    t.payloads <- resize t.payloads 0
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Two-phase build: [append] entries without bucket linking, then one
-   [seal] links every chain and settles the resize bill. This decouples
-   entry writing (whose key hashes the morsel workers compute) from
-   bucket state, and it makes chain order canonical — seal links
-   entries from the highest payload down, so probes traverse each chain
-   in ascending payload order no matter how the build was scheduled.
-
-   The resize bill models a table that doubles its buckets whenever an
-   insert finds [count >= buckets], rehashing all [count] entries, so
-   at count = B0, 2*B0, 4*B0, ...: seal charges that schedule against
-   the final count. The caller charges 1 per appended entry itself. *)
-
-let append t ~hash ~payload =
-  grow_entries t;
-  let i = t.count in
-  t.count <- i + 1;
-  t.hashes.(i) <- hash;
-  t.payloads.(i) <- payload
+  8 * (Array.length t.buckets + Array.length t.next + Array.length t.hashes)
 
 (* Final load-factor telemetry across sealed tables, surfaced by
    [--gc-stats] and the Obs.Metrics registry (which owns the cells). *)
@@ -136,6 +97,17 @@ let reset_load_stats () =
   Obs.Metrics.Counter.reset lf_buckets;
   Obs.Metrics.Gauge.reset lf_max_permille
 
+(* ------------------------------------------------------------------ *)
+(* [seal] links every chain and settles the resize bill in one pass
+   over the adopted hashes, after the morsel workers have written them
+   all. Chain order is canonical — seal links rows from the highest
+   down, so probes traverse each chain in ascending row order no matter
+   how the build was scheduled — and NULL-key rows are never linked.
+
+   The resize bill models a table that doubles its buckets whenever an
+   insert finds [count >= buckets], rehashing all [count] entries, so
+   at count = B0, 2*B0, 4*B0, ...: seal charges that schedule against
+   the final non-NULL count. The caller charges 1 per build row itself. *)
 let seal t =
   let work = ref 0 in
   if t.resizable then begin
@@ -151,10 +123,13 @@ let seal t =
       t.mask <- !b - 1
     end
   end;
-  for i = t.count - 1 downto 0 do
-    let b = t.hashes.(i) land t.mask in
-    t.next.(i) <- t.buckets.(b);
-    t.buckets.(b) <- i
+  for i = Array.length t.hashes - 1 downto 0 do
+    let h = t.hashes.(i) in
+    if h >= 0 then begin
+      let b = h land t.mask in
+      t.next.(i) <- t.buckets.(b);
+      t.buckets.(b) <- i
+    end
   done;
   Obs.Metrics.Counter.incr lf_tables;
   Obs.Metrics.Counter.add lf_entries t.count;
@@ -168,7 +143,6 @@ let seal t =
 let head t ~hash = t.buckets.(hash land t.mask)
 let next t e = t.next.(e)
 let entry_hash t e = t.hashes.(e)
-let payload t e = t.payloads.(e)
 
 (* Chain entries are hash comparisons on consecutive memory — charge a
    quarter of a tuple's work each, matching the relative CPU weights of

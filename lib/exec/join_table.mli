@@ -11,17 +11,15 @@
 type t
 
 val create :
-  ?bucket_floor:int ->
-  estimated_rows:float ->
-  ?actual_rows:int ->
-  resizable:bool ->
-  unit ->
-  t
-(** [bucket_floor] defaults to 1024, PostgreSQL's effective minimum.
+  ?bucket_floor:int -> estimated_rows:float -> resizable:bool -> int array -> t
+(** [create ~estimated_rows ~resizable hashes] is an unsealed table
+    whose entry [i] is build row [i], with key hash [hashes.(i)]. The
+    table adopts [hashes] as its hash column — the caller must not
+    write it afterwards. A negative hash marks a NULL key: that row is
+    never linked into a chain and never counted as an entry.
+    [bucket_floor] defaults to 1024, PostgreSQL's effective minimum.
     Buckets are always sized from [estimated_rows] — preserving the
-    paper's undersized-table pathology. [actual_rows] (the build side's
-    known materialized cardinality) pre-sizes only the entry arrays so
-    large builds skip the incremental doubling copies. *)
+    paper's undersized-table pathology. *)
 
 val planned_buckets : ?bucket_floor:int -> estimated_rows:float -> unit -> int
 (** The initial bucket count {!create} would choose for this floor and
@@ -32,26 +30,23 @@ val planned_buckets : ?bucket_floor:int -> estimated_rows:float -> unit -> int
 val bucket_count : t -> int
 
 val entry_count : t -> int
+(** Build rows with a non-NULL key. *)
 
 val byte_size : t -> int
-(** Physical bytes of the table's bucket and entry arrays (capacity,
-    not live count) — what a recycled table keeps resident. *)
-
-val append : t -> hash:int -> payload:int -> unit
-(** Stage an entry without linking it into a bucket chain; probes see
-    it only after {!seal}. Charge 1 work unit per appended row
-    yourself. *)
+(** Physical bytes of the table's bucket, chain and hash arrays (every
+    build row, NULL keys included) — what a recycled table keeps
+    resident. *)
 
 val seal : t -> int
-(** Link every staged entry's chain and settle the resize bill. A
-    resizable table with [B0] initial buckets and [n] entries returns
-    the sum of [b] over [b = B0, 2*B0, 4*B0, ...] while [b < n] — the
-    rehash work of doubling the buckets each time the entry count
-    reaches them — and ends with one allocation at the final bucket
-    count; a fixed table returns 0. Chains come out in ascending
-    payload order regardless of build schedule — the canonical probe
-    order that makes results independent of worker count. Call exactly
-    once, after the last {!append}. *)
+(** Link every non-NULL entry's chain and settle the resize bill. A
+    resizable table with [B0] initial buckets and [n] non-NULL entries
+    returns the sum of [b] over [b = B0, 2*B0, 4*B0, ...] while
+    [b < n] — the rehash work of doubling the buckets each time the
+    entry count reaches them — and ends with one allocation at the
+    final bucket count; a fixed table returns 0. Chains come out in
+    ascending row order regardless of build schedule — the canonical
+    probe order that makes results independent of worker count. Call
+    exactly once, before the first probe. *)
 
 (** {1 Load-factor telemetry} *)
 
@@ -74,13 +69,13 @@ val reset_load_stats : unit -> unit
       let e = ref (head t ~hash) and chain = ref 0 in
       while !e >= 0 do
         incr chain;
-        if entry_hash t !e = hash then (* use [payload t !e] *) ();
+        if entry_hash t !e = hash then (* use build row [!e] *) ();
         e := next t !e
       done;
       probe_work ~chain:!chain
     ]}
-    Chains run in ascending payload order (see {!seal}); callers
-    re-check real key equality. *)
+    An entry is its build row's index. Chains run in ascending row order
+    (see {!seal}); callers re-check real key equality. *)
 
 val head : t -> hash:int -> int
 (** First entry of the hash's bucket chain, or [-1] if it is empty. *)
@@ -89,10 +84,7 @@ val next : t -> int -> int
 (** The entry after this one in its chain, or [-1] at the chain's end. *)
 
 val entry_hash : t -> int -> int
-(** The hash an entry was appended with. *)
-
-val payload : t -> int -> int
-(** The payload an entry was appended with. *)
+(** The key hash of an entry's build row. *)
 
 val probe_work : chain:int -> int
 (** Work units of one probe that walked [chain] entries:

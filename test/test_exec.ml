@@ -7,45 +7,72 @@ module QG = Query.Query_graph
 
 (* --- Join_table ------------------------------------------------------------ *)
 
-(* Append every (hash, payload) pair, then seal; returns the seal's
-   resize charge. *)
-let build jt pairs =
-  List.iter
-    (fun (hash, payload) -> Exec.Join_table.append jt ~hash ~payload)
-    pairs;
-  Exec.Join_table.seal jt
+(* A table over build rows whose key hashes are [hashes] (entry i is
+   row i; a negative hash is a NULL key), sealed; returns the table and
+   the seal's resize charge. *)
+let build ?bucket_floor ~estimated_rows ~resizable hashes =
+  let jt =
+    Exec.Join_table.create ?bucket_floor ~estimated_rows ~resizable
+      (Array.of_list hashes)
+  in
+  (jt, Exec.Join_table.seal jt)
 
-let mixed n = List.init n (fun i -> (Exec.Join_table.mix i, i))
+let mixed n = List.init n Exec.Join_table.mix
 
 (* One probe through the chain cursor, walked the way the executor's
-   hash stage walks it: the payloads whose entry hash matches, in chain
-   order, the chain length, and the probe's work units. *)
+   hash stage walks it: the build rows whose entry hash matches, in
+   chain order, the chain length, and the probe's work units. *)
 let probe_chain jt hash =
   let e = ref (Exec.Join_table.head jt ~hash) and chain = ref 0 in
   let found = ref [] in
   while !e >= 0 do
     incr chain;
-    if Exec.Join_table.entry_hash jt !e = hash then
-      found := Exec.Join_table.payload jt !e :: !found;
+    if Exec.Join_table.entry_hash jt !e = hash then found := !e :: !found;
     e := Exec.Join_table.next jt !e
   done;
   (List.rev !found, !chain, Exec.Join_table.probe_work ~chain:!chain)
 
+(* Every entry on some chain: the walk of each bucket's chain, in
+   bucket order. *)
+let chained jt =
+  List.concat_map
+    (fun b ->
+      let e = ref (Exec.Join_table.head jt ~hash:b) and rows = ref [] in
+      while !e >= 0 do
+        rows := !e :: !rows;
+        e := Exec.Join_table.next jt !e
+      done;
+      List.rev !rows)
+    (List.init (Exec.Join_table.bucket_count jt) Fun.id)
+
 let test_join_table_basics () =
-  let jt = Exec.Join_table.create ~estimated_rows:100.0 ~resizable:false () in
   let h1 = Exec.Join_table.mix 42 and h2 = Exec.Join_table.mix 43 in
-  ignore (build jt [ (h1, 1); (h1, 2); (h2, 3) ]);
+  (* Rows 0 and 4 have a NULL key. *)
+  let jt, _ =
+    build ~estimated_rows:100.0 ~resizable:false [ -1; h1; h1; h2; -1 ]
+  in
   let found, _, _ = probe_chain jt h1 in
-  Alcotest.(check (list int)) "both payloads, ascending" [ 1; 2 ] found;
-  Alcotest.(check int) "entries" 3 (Exec.Join_table.entry_count jt)
+  Alcotest.(check (list int)) "both rows, ascending" [ 1; 2 ] found;
+  Alcotest.(check int) "entries" 3 (Exec.Join_table.entry_count jt);
+  Alcotest.(check (list int)) "NULL-key rows on no chain" [ 1; 2; 3 ]
+    (List.sort compare (chained jt));
+  (* 16 buckets hold 16 entries without a resize whatever the NULL
+     rows; a 17th entry costs one rehash of 16. *)
+  let bill keyed nulls =
+    snd
+      (build ~bucket_floor:16 ~estimated_rows:1.0 ~resizable:true
+         (List.init nulls (fun _ -> -1) @ mixed keyed))
+  in
+  Alcotest.(check int) "NULL rows not billed" 0 (bill 16 100);
+  Alcotest.(check int) "entries billed" 16 (bill 17 0);
+  Alcotest.(check int) "entries billed, NULL rows not" 16 (bill 17 100)
 
 let test_join_table_undersized_chains () =
   (* A fixed-size table sized for 1 row (floored at 1024 buckets, like
      PostgreSQL) forced to hold 64k entries: probes walk long chains,
      which the work accounting must reflect. *)
-  let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false () in
-  Alcotest.(check int) "fixed table charges no resize" 0
-    (build jt (mixed 65536));
+  let jt, seal_work = build ~estimated_rows:1.0 ~resizable:false (mixed 65536) in
+  Alcotest.(check int) "fixed table charges no resize" 0 seal_work;
   Alcotest.(check int) "floored bucket array" 1024 (Exec.Join_table.bucket_count jt);
   (* 64k entries over 1024 buckets: ~64-entry chains, charged at a
      quarter tuple each. *)
@@ -55,8 +82,7 @@ let test_join_table_undersized_chains () =
     true (work > 10)
 
 let test_join_table_resizing () =
-  let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:true () in
-  ignore (build jt (mixed 65536));
+  let jt, _ = build ~estimated_rows:1.0 ~resizable:true (mixed 65536) in
   Alcotest.(check bool) "grew" true (Exec.Join_table.bucket_count jt >= 65536);
   let _, _, work = probe_chain jt (Exec.Join_table.mix 7) in
   Alcotest.(check bool) "short chain" true (work < 10)
@@ -69,14 +95,13 @@ let test_join_table_chain_charge () =
   let h = Exec.Join_table.mix 7 in
   List.iter
     (fun (same, colliding) ->
-      let jt = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false () in
-      Alcotest.(check int) "1024 buckets" 1024 (Exec.Join_table.bucket_count jt);
-      let entries =
-        List.init same (fun i -> (h, i))
-        @ List.init colliding (fun i -> (h + 1024, same + i))
-        @ List.init 50 (fun i -> (h + 1, same + colliding + i))
+      let jt, _ =
+        build ~estimated_rows:1.0 ~resizable:false
+          (List.init same (fun _ -> h)
+          @ List.init colliding (fun _ -> h + 1024)
+          @ List.init 50 (fun _ -> h + 1))
       in
-      ignore (build jt entries);
+      Alcotest.(check int) "1024 buckets" 1024 (Exec.Join_table.bucket_count jt);
       let len = same + colliding in
       let found, chain, work = probe_chain jt h in
       let label = Printf.sprintf "chain of %d" len in
@@ -94,31 +119,28 @@ let seal_charges_doubling_schedule =
     QCheck.(triple (int_range 0 6000) (int_range 0 3) bool)
     (fun (n, floor_exp, resizable) ->
       let bucket_floor = 16 lsl (2 * floor_exp) in
-      let jt =
-        Exec.Join_table.create ~bucket_floor ~estimated_rows:1.0 ~resizable ()
+      let _, seal_work =
+        build ~bucket_floor ~estimated_rows:1.0 ~resizable (mixed n)
       in
-      let b0 = Exec.Join_table.bucket_count jt in
+      let b0 = Exec.Join_table.planned_buckets ~bucket_floor ~estimated_rows:1.0 () in
       let rec expected b = if b < n then b + expected (2 * b) else 0 in
-      build jt (mixed n) = if resizable then expected b0 else 0)
+      seal_work = if resizable then expected b0 else 0)
 
 let join_table_finds_all =
   Support.qcheck_case ~name:"join table probe finds exactly inserted hashes"
     QCheck.(small_int)
     (fun seed ->
       let prng = Util.Prng.create seed in
-      let jt =
-        Exec.Join_table.create ~estimated_rows:64.0
-          ~resizable:(Util.Prng.bool prng) ()
-      in
+      let resizable = Util.Prng.bool prng in
       let keys = Array.init 200 (fun _ -> Util.Prng.int prng 50) in
-      ignore
-        (build jt
-           (List.init 200 (fun payload ->
-                (Exec.Join_table.mix keys.(payload), payload))));
+      let jt, _ =
+        build ~estimated_rows:64.0 ~resizable
+          (List.map Exec.Join_table.mix (Array.to_list keys))
+      in
       List.for_all
         (fun probe ->
-          let payloads, _, _ = probe_chain jt (Exec.Join_table.mix probe) in
-          let found = List.length (List.filter (fun p -> keys.(p) = probe) payloads) in
+          let rows, _, _ = probe_chain jt (Exec.Join_table.mix probe) in
+          let found = List.length (List.filter (fun p -> keys.(p) = probe) rows) in
           let expected = Array.fold_left (fun a k -> if k = probe then a + 1 else a) 0 keys in
           found = expected)
         [ 0; 7; 49 ])
@@ -203,18 +225,7 @@ let merge_join_agrees_with_hash =
    2-domain pool must each return the oracle's COUNT and MINs: a slot
    dropped too early raises, one gathered from the wrong position
    returns a wrong MIN. *)
-let oracle_law ~rows (seed, relations) =
-  let prng = Util.Prng.create seed in
-  let db = Support.micro_db prng ~tables:relations ~rows in
-  let g =
-    Support.micro_query prng db ~relations ~extra_edges:(Util.Prng.int prng 3)
-  in
-  let projections =
-    List.init (Util.Prng.int prng 4) (fun _ ->
-        let rel = Util.Prng.int prng relations in
-        let table = (QG.relation g rel).QG.table in
-        (rel, Util.Prng.int prng (Storage.Table.column_count table)))
-  in
+let oracle_holds ~seed db g projections =
   let expected = Support.brute_force_mins g projections in
   let card = Cardest.True_card.card (Cardest.True_card.compute g) in
   let search ?allow_nl ?allow_hash ?shape ?(card = card) model =
@@ -275,19 +286,134 @@ let oracle_law ~rows (seed, relations) =
   in
   all_merge && List.for_all (same expected) answers
 
+let oracle_law ~rows (seed, relations) =
+  let prng = Util.Prng.create seed in
+  let db = Support.micro_db prng ~tables:relations ~rows in
+  let g =
+    Support.micro_query prng db ~relations ~extra_edges:(Util.Prng.int prng 3)
+  in
+  let projections =
+    List.init (Util.Prng.int prng 4) (fun _ ->
+        let rel = Util.Prng.int prng relations in
+        let table = (QG.relation g rel).QG.table in
+        (rel, Util.Prng.int prng (Storage.Table.column_count table)))
+  in
+  oracle_holds ~seed db g projections
+
 let plans_match_oracle =
   Support.qcheck_case ~count:100
     ~name:"oracle COUNT and MIN, all plan shapes"
     QCheck.(pair (int_bound 100_000) (int_range 2 5))
     (oracle_law ~rows:60)
 
-(* The same law with base tables past two 4096-row morsels, so the
-   2-domain pool really splits the scans. *)
+(* A fixed input whose stored intermediate crosses staging segments:
+   [big] (5 morsels and a bit) joins [small] on a 5-valued column, so
+   each full morsel of [big] emits 5 x 4096 tuples, past four stage
+   buffers and across several 4 K-word staging segments; [big]'s
+   nullable fk joins [dim], whose predicate keeps one row. *)
+let staging_input () =
+  let n = (5 * 4096) + 100 in
+  let prng = Util.Prng.create 19 in
+  let db = Storage.Database.create () in
+  let ints name len f = Storage.Column.of_ints ~name (Array.init len f) in
+  let add name ?fks columns =
+    Storage.Database.add_table db
+      (Storage.Table.create ~name ~pk:"id" ?fks (Array.of_list columns))
+  in
+  add "small" [ ints "id" 25 (fun r -> Some (r + 1)); ints "v" 25 (fun r -> Some (r mod 5)) ];
+  add "big" ~fks:[ "fk" ]
+    [
+      ints "id" n (fun r -> Some (r + 1));
+      ints "v" n (fun _ -> Some (Util.Prng.int prng 5));
+      ints "fk" n (fun _ ->
+          if Util.Prng.chance prng 0.1 then None else Some (1 + Util.Prng.int prng 25));
+    ];
+  add "dim" [ ints "id" 25 (fun r -> Some (r + 1)); ints "w" 25 (fun r -> Some (r mod 25)) ];
+  let rel idx alias preds =
+    let table = Storage.Database.find_table db alias in
+    { QG.idx; alias; table; preds }
+  in
+  let g =
+    QG.create ~name:"staging"
+      [|
+        rel 0 "small" [];
+        rel 1 "big" [];
+        rel 2 "dim" [ Query.Predicate.Cmp { col = 1; op = Query.Predicate.Le; code = 0 } ];
+      |]
+      [
+        { QG.left = 1; left_col = 1; right = 0; right_col = 1; pk_side = None };
+        { QG.left = 1; left_col = 2; right = 2; right_col = 0; pk_side = Some `Right };
+      ]
+  in
+  (db, g, [ (0, 0); (2, 1) ], n)
+
+(* The staging input: every plan shape against the oracle, then the
+   plan that stores [big] ⋈ [small] as a merge-join input. That
+   pipeline is the run's only pool phase, so Morsel's telemetry shows
+   whether both slots claimed its morsels; the pooled run is repeated
+   until they have, and must each time equal the oracle and the no-pool
+   run, work included. *)
+let test_staging_oracle () =
+  let db, g, projections, n = staging_input () in
+  Alcotest.(check int) "every big row meets 5 small rows" (5 * n)
+    (Support.brute_force_count g (Bitset.of_list [ 0; 1 ]));
+  Alcotest.(check bool) "every plan shape matches the oracle" true
+    (oracle_holds ~seed:19 db g projections);
+  let plan =
+    Plan.join Plan.Merge_join
+      ~outer:(Plan.join Plan.Hash_join ~outer:(Plan.scan 1) ~inner:(Plan.scan 0))
+      ~inner:(Plan.scan 2)
+  in
+  let fingerprint ?pool () =
+    let r =
+      Exec.Executor.run ~db ~graph:g ~config:Exec.Engine_config.robust
+        ~size_est:(fun _ -> 1.0) ?pool ~projections plan
+    in
+    ( (r.Exec.Executor.rows, List.map Storage.Value.to_string r.Exec.Executor.mins),
+      (r.Exec.Executor.work, r.Exec.Executor.timed_out) )
+  in
+  let rows, mins = Support.brute_force_mins g projections in
+  let alone = fingerprint () in
+  let answer = Alcotest.(pair int (list string)) in
+  Alcotest.check answer "no pool = oracle"
+    (rows, List.map Storage.Value.to_string mins)
+    (fst alone);
+  let pool = Util.Domain_pool.create ~domains:2 in
+  let split =
+    Fun.protect
+      ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+      (fun () ->
+        let rec attempt k =
+          Exec.Morsel.reset_stats ();
+          let pooled = fingerprint ~pool () in
+          Alcotest.check
+            Alcotest.(pair answer (pair int bool))
+            "pool = no pool" alone pooled;
+          let st = Exec.Morsel.stats () in
+          Alcotest.(check int) "one pool phase" 1 st.Exec.Morsel.st_phases;
+          let split =
+            st.Exec.Morsel.st_stolen > 0
+            && st.Exec.Morsel.st_stolen < st.Exec.Morsel.st_dispatched
+          in
+          if split || k = 1 then split else attempt (k - 1)
+        in
+        attempt 200)
+  in
+  Alcotest.(check bool) "both slots claimed the stored node's morsels" true split
+
+(* The staging input, then the same law with base tables past two
+   4096-row morsels, so the 2-domain pool really splits the scans. *)
 let plans_match_oracle_on_pool =
-  Support.qcheck_case ~count:3
-    ~name:"oracle COUNT and MIN on the pool"
-    QCheck.(pair (int_bound 100_000) (int_range 2 3))
-    (oracle_law ~rows:8200)
+  let name, speed, random_inputs =
+    Support.qcheck_case ~count:3 ~name:"oracle COUNT and MIN on the pool"
+      QCheck.(pair (int_bound 100_000) (int_range 2 3))
+      (oracle_law ~rows:8200)
+  in
+  ( name,
+    speed,
+    fun () ->
+      test_staging_oracle ();
+      random_inputs () )
 
 (* The chain t0 <- t1 <- t2 over a 3-table micro database: t1.fk0 =
    t0.id and t2.fk1 = t1.id. *)

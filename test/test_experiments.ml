@@ -87,10 +87,10 @@ let test_dbms_a_damping_monotone () =
 
 let test_bucket_floor_configurable () =
   let tiny =
-    Exec.Join_table.create ~bucket_floor:16 ~estimated_rows:1.0 ~resizable:false ()
+    Exec.Join_table.create ~bucket_floor:16 ~estimated_rows:1.0 ~resizable:false [||]
   in
   Alcotest.(check int) "floor 16" 16 (Exec.Join_table.bucket_count tiny);
-  let default = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false () in
+  let default = Exec.Join_table.create ~estimated_rows:1.0 ~resizable:false [||] in
   Alcotest.(check int) "floor 1024" 1024 (Exec.Join_table.bucket_count default)
 
 let test_engine_floor_affects_work () =

@@ -167,8 +167,11 @@ let test_workload_fused_vs_materialized () =
 
 (* --- budget trips inside a pool phase ---------------------------------- *)
 
-(* cast_info ⋈ title as one hash join, cast_info the probe side. Its
-   scan and its probe both run over enough rows to be pool phases. *)
+(* cast_info ⋈ title as one hash join, cast_info the probe side, and
+   as one merge join. The hash plan's scan and probe both run over
+   enough rows to be pool phases, as does the merge plan's cast_info
+   scan; the merge join itself stages its output on the calling
+   domain. *)
 let trip_fixture =
   lazy
     (let db = Datagen.Imdb_gen.generate ~seed:7 ~scale:0.005 () in
@@ -185,19 +188,18 @@ let trip_fixture =
           (Array.to_list (Query.Query_graph.relations g)))
          .Query.Query_graph.idx
      in
-     let plan =
-       Plan.join Plan.Hash_join ~outer:(Plan.scan (rel "ci"))
-         ~inner:(Plan.scan (rel "t"))
+     let plan algo =
+       Plan.join algo ~outer:(Plan.scan (rel "ci")) ~inner:(Plan.scan (rel "t"))
      in
      let scan_rows =
        Storage.Table.row_count (Storage.Database.find_table db "cast_info")
      in
      (db, g, b.Sqlfront.Binder.projections, plan, scan_rows))
 
-let run_trip ?pool config =
+let run_trip ?pool ?(algo = Plan.Hash_join) config =
   let db, graph, projections, plan, _ = Lazy.force trip_fixture in
   Exec.Executor.run ~db ~graph ~config ~size_est:(fun _ -> 1024.0) ?pool
-    ~projections plan
+    ~projections (plan algo)
 
 let fingerprint (r : Exec.Executor.result) =
   Printf.sprintf "rows %d, work %d, timed out %b, mins [%s]" r.Exec.Executor.rows
@@ -207,9 +209,9 @@ let fingerprint (r : Exec.Executor.result) =
 (* A budget that trips mid-phase gives the same timeout result with and
    without a pool, and leaves the pool free: the next query on it
    answers exactly as the no-pool run does, on the pool. *)
-let check_trip label config =
-  let full = fingerprint (run_trip engine) in
-  let tripped = run_trip config in
+let check_trip ?algo label config =
+  let full = fingerprint (run_trip ?algo engine) in
+  let tripped = run_trip ?algo config in
   Alcotest.(check bool) (label ^ ": trips without a pool") true
     tripped.Exec.Executor.timed_out;
   List.iter
@@ -217,7 +219,7 @@ let check_trip label config =
       with_pool domains (fun p ->
           let on_pool l config =
             Morsel.reset_stats ();
-            let r = fingerprint (run_trip ~pool:p config) in
+            let r = fingerprint (run_trip ~pool:p ?algo config) in
             Alcotest.(check bool) (l ^ " ran on the pool") true
               ((Morsel.stats ()).Morsel.st_phases > 0);
             r
@@ -242,11 +244,22 @@ let test_work_limit_trip () =
   check_trip "work limit"
     { engine with Exec.Engine_config.work_limit = scan_rows / 2 }
 
+(* Only probe stages and the merge join count emitted rows against the
+   row budget. The merge join counts its output as it stages it: half
+   of it trips after at least one full 4096-row buffer went into the
+   staging segments. *)
 let test_row_limit_trip () =
   let rows = (run_trip engine).Exec.Executor.rows in
   Alcotest.(check bool) "join emits rows" true (rows > 1);
-  (* Only probe stages count emitted rows against the row budget. *)
   check_trip "row limit"
+    { engine with Exec.Engine_config.row_limit = rows / 2 };
+  Alcotest.(check int) "merge join = hash join" rows
+    (run_trip ~algo:Plan.Merge_join engine).Exec.Executor.rows;
+  Alcotest.(check bool)
+    (Printf.sprintf "half the output (%d rows) fills a buffer" (rows / 2))
+    true
+    (rows / 2 > 4096);
+  check_trip ~algo:Plan.Merge_join "merge row limit"
     { engine with Exec.Engine_config.row_limit = rows / 2 }
 
 (* --- a trip on an intermediate that is never stored --------------------- *)
