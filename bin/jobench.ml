@@ -347,7 +347,7 @@ let stats_cmd =
               Printf.printf "    mcv%d %-28s %s\n" (rank + 1) decoded
                 (Util.Render.percent_cell freq))
           cs.Dbstats.Column_stats.mcv)
-      stats.Dbstats.Analyze.columns
+      (Array.map Util.Once.force stats.Dbstats.Analyze.columns)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Show ANALYZE statistics for a table")

@@ -40,7 +40,7 @@ let cmp_int v op c =
    leftover) plus the MCV entries that satisfy the operator. *)
 let rank_cmp_selectivity (stats : CS.t) ~magic ~rank_of_code op rank_const =
   let hist_part =
-    match stats.CS.histogram with
+    match CS.histogram stats with
     | None -> magic.default_range
     | Some h -> Dbstats.Histogram.cmp_selectivity h op rank_const
   in

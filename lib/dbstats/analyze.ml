@@ -1,7 +1,7 @@
 type table_stats = {
   table : Storage.Table.t;
   row_count : int;
-  columns : Column_stats.t array;
+  columns : Column_stats.t Util.Once.t array;
   sample : Sample.t;
 }
 
@@ -35,15 +35,18 @@ let table t name =
   | None ->
       let tbl = Storage.Database.find_table t.db name in
       let sample = Sample.take t.prng tbl ~size:t.sample_size in
+      (* Only the sample draws from the PRNG; a column's statistics are a
+         function of it, built when an estimator first reads them. *)
       let columns =
         Array.init (Storage.Table.column_count tbl) (fun col ->
-            Column_stats.build tbl ~col ~sample_rows:sample.Sample.rows
-              ~buckets:t.buckets ~mcv_entries:t.mcv_entries ())
+            Util.Once.make (fun () ->
+                Column_stats.build tbl ~col ~sample_rows:sample.Sample.rows
+                  ~buckets:t.buckets ~mcv_entries:t.mcv_entries ()))
       in
       let stats = { table = tbl; row_count = Storage.Table.row_count tbl; columns; sample } in
       Hashtbl.add t.cache name stats;
       stats
 
-let column t ~table:name ~col = (table t name).columns.(col)
+let column t ~table:name ~col = Util.Once.force (table t name).columns.(col)
 
 let sample t ~table:name = (table t name).sample

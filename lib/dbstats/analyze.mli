@@ -8,7 +8,10 @@
 type table_stats = {
   table : Storage.Table.t;
   row_count : int;
-  columns : Column_stats.t array;  (** Indexed like the table's columns. *)
+  columns : Column_stats.t Util.Once.t array;
+      (** Indexed like the table's columns. Each is built from [sample]
+          on first force, which {!column} does: columns no estimator
+          reads are never analyzed. *)
   sample : Sample.t;  (** The row sample the statistics came from. *)
 }
 
@@ -21,7 +24,8 @@ val create :
   ?mcv_entries:int ->
   Storage.Database.t ->
   t
-(** Lazy: a table is analyzed on first access. Defaults: sample 30000
+(** Lazy: a table's sample is drawn on first access, a column's
+    statistics are built on its first {!column}. Defaults: sample 30000
     rows, 100 histogram buckets, 100 MCV entries (PostgreSQL-ish). *)
 
 val database : t -> Storage.Database.t

@@ -4,8 +4,8 @@ type t = {
   distinct_sampled : float;
   distinct_exact : float;
   mcv : (int * float) array;
-  histogram : Histogram.t option;
-  rank_of_code : int array option;
+  histogram_cell : Histogram.t option Util.Once.t;
+  ranks_cell : int array option Util.Once.t;
 }
 
 (* Haas & Stokes Duj1 estimator, the one PostgreSQL uses:
@@ -83,15 +83,29 @@ let hashed_counts data sample_rows ~freqs =
     Int_table.length freqs,
     Int_table.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 )
 
+(* The histogram over the sample's non-NULL values outside [mcv], each
+   mapped through [value]: [size] such values fill an array, which
+   [Histogram.build] sorts. *)
+let sorted_histogram column sample_rows ~size ~mcv ~value ~buckets =
+  let data = Storage.Column.reader column in
+  let mcv_codes = Int_table.create 32 in
+  Array.iter (fun (code, _) -> Int_table.replace mcv_codes code ()) mcv;
+  let values = Array.make size 0 in
+  let filled = ref 0 in
+  Array.iter
+    (fun row ->
+      let v = data row in
+      if v <> Storage.Value.null_code && not (Int_table.mem mcv_codes v) then begin
+        values.(!filled) <- value v;
+        incr filled
+      end)
+    sample_rows;
+  Histogram.build ~buckets values
+
 let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
   let column = Storage.Table.column table col in
   let data = Storage.Column.reader column in
   let row_count = Storage.Column.length column in
-  let null_code = Storage.Value.null_code in
-
-  (* Rank translation for string columns, shared by every ANALYZE of
-     the column. *)
-  let rank_of_code = Option.map Storage.Dict.ranks (Storage.Column.dict column) in
 
   (* Sample pass: frequencies per code, through the dense kernel when
      the column's code range allows it. *)
@@ -131,41 +145,38 @@ let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
          (fun (code, c) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
          top)
   in
-  let in_histogram =
-    match dense with
-    | Some (lo, counts) ->
-        (* Every sampled code has a non-zero count; zero the MCVs'. *)
-        Array.iter (fun (code, _) -> counts.(code - lo) <- 0) mcv;
-        fun v -> v <> null_code && counts.(v - lo) <> 0
-    | None ->
-        let mcv_codes = Int_table.create 32 in
-        Array.iter (fun (code, _) -> Int_table.replace mcv_codes code ()) mcv;
-        fun v -> v <> null_code && not (Int_table.mem mcv_codes v)
-  in
 
   (* Histogram over the non-MCV part of the sample, in rank space: the
-     non-NULL rows less the MCVs' sample counts. *)
-  let hist_values =
-    Array.make (List.fold_left (fun acc (_, c) -> acc - c) non_null top) 0
+     non-NULL rows less the MCVs' sample counts. Only order predicates
+     read it, so a string column's, and its rank translation, wait for
+     the first one; the deferred build rescans the sample and keeps
+     nothing of this pass but the MCVs. *)
+  let size = List.fold_left (fun acc (_, c) -> acc - c) non_null top in
+  let histogram_cell, ranks_cell =
+    match (Storage.Column.dict column, dense) with
+    | Some dict, _ ->
+        ( Util.Once.make (fun () ->
+              let ranks = Storage.Dict.ranks dict in
+              sorted_histogram column sample_rows ~size ~mcv ~value:(fun v -> ranks.(v))
+                ~buckets),
+          Util.Once.make (fun () -> Some (Storage.Dict.ranks dict)) )
+    | None, Some (lo, counts) ->
+        (* Zero the MCVs' counts: what is left counts the histogram's values. *)
+        Array.iter (fun (code, _) -> counts.(code - lo) <- 0) mcv;
+        (Util.Once.of_val (Histogram.of_counts ~buckets ~lo counts), Util.Once.of_val None)
+    | None, None ->
+        ( Util.Once.of_val
+            (sorted_histogram column sample_rows ~size ~mcv ~value:Fun.id ~buckets),
+          Util.Once.of_val None )
   in
-  let filled = ref 0 in
-  Array.iter
-    (fun row ->
-      let v = data row in
-      if in_histogram v then begin
-        hist_values.(!filled) <- (match rank_of_code with None -> v | Some r -> r.(v));
-        incr filled
-      end)
-    sample_rows;
-  let histogram = Histogram.build ~buckets hist_values in
   {
     row_count;
     null_fraction;
     distinct_sampled;
     distinct_exact;
     mcv;
-    histogram;
-    rank_of_code;
+    histogram_cell;
+    ranks_cell;
   }
 
 let mcv_fraction_total t = Array.fold_left (fun acc (_, f) -> acc +. f) 0.0 t.mcv
@@ -175,9 +186,13 @@ let mcv_find t code =
   Array.iter (fun (c, f) -> if c = code && !found = None then found := Some f) t.mcv;
   !found
 
-let rank t code = match t.rank_of_code with None -> code | Some ranks -> ranks.(code)
+let histogram t = Util.Once.force t.histogram_cell
+
+let ranks t = Util.Once.force t.ranks_cell
+
+let rank t code = match ranks t with None -> code | Some ranks -> ranks.(code)
 
 let rank_of_string t column s =
-  match (t.rank_of_code, Storage.Column.dict column) with
+  match (ranks t, Storage.Column.dict column) with
   | Some _, Some dict -> Storage.Dict.count_below dict s
   | _ -> invalid_arg "Column_stats.rank_of_string: not a string column"

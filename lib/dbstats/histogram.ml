@@ -15,6 +15,28 @@ let build ~buckets values =
     Some { bounds }
   end
 
+(* [build] over [counts.(k)] copies of [lo + k], without expanding
+   them: walk the keys in order, keeping the number of values before
+   key [k], and give bound [i] the key whose run holds position
+   [i * (n - 1) / buckets] of the sorted multiset. *)
+let of_counts ~buckets ~lo counts =
+  let n = Array.fold_left ( + ) 0 counts in
+  if n = 0 then None
+  else begin
+    let buckets = max 1 (min buckets n) in
+    let bounds = Array.make (buckets + 1) 0 in
+    let k = ref 0 and before = ref 0 in
+    for i = 0 to buckets do
+      let pos = i * (n - 1) / buckets in
+      while !before + counts.(!k) <= pos do
+        before := !before + counts.(!k);
+        incr k
+      done;
+      bounds.(i) <- lo + !k
+    done;
+    Some { bounds }
+  end
+
 let bucket_count t = Array.length t.bounds - 1
 
 let bounds t = Array.copy t.bounds

@@ -8,9 +8,15 @@
 type t
 
 val build : buckets:int -> int array -> t option
-(** [build ~buckets values] from (sampled) non-NULL values. [None] when
-    no values. The number of buckets is capped by the number of distinct
-    bounds available. *)
+(** [build ~buckets values] from (sampled) non-NULL values: bound [i] is
+    element [i * (n - 1) / buckets] of the sorted values. [None] when no
+    values. The number of buckets is capped by the number of values. *)
+
+val of_counts : buckets:int -> lo:int -> int array -> t option
+(** [of_counts ~buckets ~lo counts] is [build ~buckets] over the values
+    [lo + k], each repeated [counts.(k)] times (zero counts allowed),
+    without expanding them: one walk of [counts]. [None] when every
+    count is 0. *)
 
 val bucket_count : t -> int
 

@@ -49,8 +49,17 @@ let iter_nonempty_subsets s f =
     sub := (!sub - 1) land s
   done
 
-let neighbors_of adjacency s =
-  Bitset.diff (Bitset.fold (fun r acc -> Bitset.union acc adjacency.(r)) s Bitset.empty) s
+(* The union of the members' adjacency masks: a bit loop that takes
+   the lowest member and clears it. *)
+let adjacent_to adjacency s =
+  let acc = ref Bitset.empty and rest = ref s in
+  while !rest <> 0 do
+    acc := Bitset.union !acc adjacency.(Bitset.lowest !rest);
+    rest := !rest land (!rest - 1)
+  done;
+  !acc
+
+let neighbors_of adjacency s = Bitset.diff (adjacent_to adjacency s) s
 
 (* Relations 0..i, the "B_i" of DPccp. *)
 let prefix i = (1 lsl (i + 1)) - 1
@@ -234,24 +243,18 @@ let adjacency t i = t.adjacency.(i)
 
 let neighbors t s = neighbors_of t.adjacency s
 
+(* Breadth-first from the lowest member: each round adds the members
+   adjacent to the last round's additions. *)
 let is_connected t s =
   if Bitset.is_empty s then false
   else begin
-    let frontier = ref (Bitset.lowest_bit s) in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      let grown =
-        Bitset.fold
-          (fun r acc -> Bitset.union acc (Bitset.inter t.adjacency.(r) s))
-          !frontier !frontier
-      in
-      if grown <> !frontier then begin
-        frontier := grown;
-        changed := true
-      end
+    let reached = ref (Bitset.lowest_bit s) in
+    let frontier = ref !reached in
+    while !frontier <> 0 do
+      frontier := Bitset.diff (Bitset.inter (adjacent_to t.adjacency !frontier) s) !reached;
+      reached := Bitset.union !reached !frontier
     done;
-    !frontier = s
+    !reached = s
   end
 
 let edges_between t s1 s2 =

@@ -29,8 +29,10 @@ val matching_codes : t -> (string -> bool) -> bool array
 
 val ranks : t -> int array
 (** [ranks d].(code) is the code's rank in lexicographic ([String.compare])
-    order of the dictionary's strings. Computed once and shared until the
-    next new string is interned: the array must not be mutated. *)
+    order of the dictionary's strings. Sorted on first demand, then shared
+    until the next new string is interned: the array must not be mutated.
+    ANALYZE demands it only when an order predicate first reads a string
+    column's statistics, so most dictionaries are never sorted. *)
 
 val count_below : t -> string -> int
 (** Number of dictionary strings strictly smaller than the given one

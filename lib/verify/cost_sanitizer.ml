@@ -32,12 +32,12 @@ let close a b =
 let check ?(subject = "cost") ?reported_cost (env : Cost.Cost_model.env)
     (model : Cost.Cost_model.t) plan =
   let c = Violation.collector ~pass ~subject in
-  let pp_set s = Format.asprintf "%a" Bitset.pp s in
+  let pp_set () s = Format.asprintf "%a" Bitset.pp s in
   let node_ok what set cost =
-    Violation.check c (not (is_bad cost)) "%s cost for %s is %h" what
-      (pp_set set) cost;
+    Violation.check c (not (is_bad cost)) "%s cost for %a is %h" what pp_set set
+      cost;
     Violation.check c (is_bad cost || cost >= 0.0)
-      "%s cost for %s is negative: %g" what (pp_set set) cost
+      "%s cost for %a is negative: %g" what pp_set set cost
   in
   let rec walk (node : Plan.t) =
     match node.Plan.op with
@@ -56,15 +56,15 @@ let check ?(subject = "cost") ?reported_cost (env : Cost.Cost_model.env)
         let slack = 1.0 +. rel_tolerance in
         Violation.check c
           (is_bad cost || cost *. slack >= outer_cost)
-          "%s at %s costs %g, less than its outer child %s at %g"
-          (Plan.algo_to_string algo) (pp_set node.Plan.set) cost
-          (pp_set outer.Plan.set) outer_cost;
+          "%s at %a costs %g, less than its outer child %a at %g"
+          (Plan.algo_to_string algo) pp_set node.Plan.set cost
+          pp_set outer.Plan.set outer_cost;
         (if algo <> Plan.Index_nl_join then
            Violation.check c
              (is_bad cost || cost *. slack >= inner_cost)
-             "%s at %s costs %g, less than its inner child %s at %g"
-             (Plan.algo_to_string algo) (pp_set node.Plan.set) cost
-             (pp_set inner.Plan.set) inner_cost);
+             "%s at %a costs %g, less than its inner child %a at %g"
+             (Plan.algo_to_string algo) pp_set node.Plan.set cost
+             pp_set inner.Plan.set inner_cost);
         cost
   in
   let total = walk plan in

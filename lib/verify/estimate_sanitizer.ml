@@ -40,12 +40,12 @@ let q_error_checked ~estimate ~truth =
 let check ?(subject = "estimator") ?(slack = default_slack)
     ?(pk_bound = false) ?truth graph (est : Cardest.Estimator.t) =
   let c = Violation.collector ~pass ~subject in
-  let pp_set s = Format.asprintf "%a" Bitset.pp s in
+  let pp_set () s = Format.asprintf "%a" Bitset.pp s in
   let subsets = QG.connected_subsets graph in
   let well_formed what s v =
-    Violation.check c (not (is_bad v)) "%s for %s is %h" what (pp_set s) v;
-    Violation.check c (is_bad v || v >= 0.0) "%s for %s is negative: %g" what
-      (pp_set s) v
+    Violation.check c (not (is_bad v)) "%s for %a is %h" what pp_set s v;
+    Violation.check c (is_bad v || v >= 0.0) "%s for %a is negative: %g" what
+      pp_set s v
   in
   (* Base estimates: the per-relation numbers composition starts from. *)
   for r = 0 to QG.n_relations graph - 1 do
@@ -66,9 +66,9 @@ let check ?(subject = "estimator") ?(slack = default_slack)
               let base = est.Cardest.Estimator.base r in
               Violation.check c
                 (gv <= Float.max 1.0 (slack *. v *. Float.max 1.0 base))
-                "estimate %g for %s exceeds cross-product bound %g · est(%s)=%g \
+                "estimate %g for %a exceeds cross-product bound %g · est(%a)=%g \
                  · base(%d)=%g"
-                gv (pp_set grown) slack (pp_set s) v r base;
+                gv pp_set grown slack pp_set s v r base;
               if pk_bound then begin
                 let crossing = QG.edges_between graph s (Bitset.singleton r) in
                 let r_is_pk_side =
@@ -79,9 +79,9 @@ let check ?(subject = "estimator") ?(slack = default_slack)
                 if r_is_pk_side then
                   Violation.check c
                     (gv <= v *. (1.0 +. 1e-9))
-                    "PK inclusion bound: est %g for %s exceeds est %g for %s \
+                    "PK inclusion bound: est %g for %a exceeds est %g for %a \
                      though relation %d joins on its primary key"
-                    gv (pp_set grown) v (pp_set s) r
+                    gv pp_set grown v pp_set s r
               end
             end)
           (QG.neighbors graph s);
@@ -92,7 +92,7 @@ let check ?(subject = "estimator") ?(slack = default_slack)
           let t = tr s in
           Violation.check c
             (Result.is_ok (q_error_checked ~estimate:v ~truth:t))
-            "q-error for %s is not computable (estimate %h, truth %h)"
-            (pp_set s) v t)
+            "q-error for %a is not computable (estimate %h, truth %h)"
+            pp_set s v t)
     subsets;
   Violation.result c

@@ -60,8 +60,9 @@ let check ?subject graph =
         (fun atom ->
           Violation.check c
             (not (Hashtbl.mem seen_atoms atom))
-            "duplicate filter predicate on %s: %s" r.QG.alias
-            (Format.asprintf "%a" (Query.Predicate.pp_atom r.QG.table) atom);
+            "duplicate filter predicate on %s: %a" r.QG.alias
+            (fun () -> Format.asprintf "%a" (Query.Predicate.pp_atom r.QG.table))
+            atom;
           Hashtbl.replace seen_atoms atom ())
         r.QG.preds)
     (QG.relations graph);

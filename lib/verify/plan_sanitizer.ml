@@ -41,7 +41,7 @@ let check ?(subject = "plan") ?shape graph plan =
   let c = Violation.collector ~pass ~subject in
   let n = QG.n_relations graph in
   let seen = Array.make n 0 in
-  let pp_set s = Format.asprintf "%a" Bitset.pp s in
+  let pp_set () s = Format.asprintf "%a" Bitset.pp s in
   let rec walk (node : Plan.t) =
     (match node.Plan.op with
     | Plan.Scan r ->
@@ -49,34 +49,33 @@ let check ?(subject = "plan") ?shape graph plan =
           "scan of unknown relation %d (query has %d relations)" r n;
         if r >= 0 && r < n then seen.(r) <- seen.(r) + 1;
         Violation.check c (node.Plan.set = Bitset.singleton r)
-          "scan of relation %d carries set %s instead of {%d}" r
-          (pp_set node.Plan.set) r
+          "scan of relation %d carries set %a instead of {%d}" r
+          pp_set node.Plan.set r
     | Plan.Join { algo; outer; inner } ->
         Violation.check c (Bitset.disjoint outer.Plan.set inner.Plan.set)
-          "join children overlap on %s"
-          (pp_set (Bitset.inter outer.Plan.set inner.Plan.set));
+          "join children overlap on %a" pp_set
+          (Bitset.inter outer.Plan.set inner.Plan.set);
         Violation.check c
           (node.Plan.set = Bitset.union outer.Plan.set inner.Plan.set)
-          "join node set %s is not the union of its children %s and %s"
-          (pp_set node.Plan.set) (pp_set outer.Plan.set)
-          (pp_set inner.Plan.set);
+          "join node set %a is not the union of its children %a and %a"
+          pp_set node.Plan.set pp_set outer.Plan.set pp_set inner.Plan.set;
         (if Bitset.disjoint outer.Plan.set inner.Plan.set then
            Violation.check c
              (QG.edges_between graph outer.Plan.set inner.Plan.set <> [])
-             "cross product: no join predicate between %s and %s"
-             (pp_set outer.Plan.set) (pp_set inner.Plan.set));
+             "cross product: no join predicate between %a and %a"
+             pp_set outer.Plan.set pp_set inner.Plan.set);
         Violation.check c
           (QG.is_connected graph node.Plan.set)
-          "intermediate %s is not a connected subgraph" (pp_set node.Plan.set);
+          "intermediate %a is not a connected subgraph" pp_set node.Plan.set;
         Violation.check c
           (algo <> Plan.Index_nl_join || Plan.is_base inner)
-          "index-NL inner %s is not a base relation" (pp_set inner.Plan.set);
+          "index-NL inner %a is not a base relation" pp_set inner.Plan.set;
         walk outer;
         walk inner);
   in
   walk plan;
   Violation.check c (plan.Plan.set = QG.full_set graph)
-    "plan covers %s instead of all %d relations" (pp_set plan.Plan.set) n;
+    "plan covers %a instead of all %d relations" pp_set plan.Plan.set n;
   Array.iteri
     (fun r count ->
       Violation.check c (count <= 1) "relation %d (%s) appears %d times" r

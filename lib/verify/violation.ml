@@ -36,14 +36,15 @@ type collector = {
 let collector ~pass ~subject =
   { pass_name = pass; subject_name = subject; n_checks = 0; failed = [] }
 
+(* A passing check consumes its arguments without formatting them. *)
 let check c cond fmt =
   c.n_checks <- c.n_checks + 1;
-  Printf.ksprintf
-    (fun message ->
-      if not cond then
-        c.failed <-
-          { pass = c.pass_name; subject = c.subject_name; message } :: c.failed)
-    fmt
+  if cond then Printf.ikfprintf ignore () fmt
+  else
+    Printf.ksprintf
+      (fun message ->
+        c.failed <- { pass = c.pass_name; subject = c.subject_name; message } :: c.failed)
+      fmt
 
 let result c = { checks = c.n_checks; violations = List.rev c.failed }
 

@@ -30,6 +30,8 @@ val collector : pass:string -> subject:string -> collector
 val check :
   collector -> bool -> ('a, unit, string, unit) format4 -> 'a
 (** [check c cond fmt ...] counts one check and records a violation with
-    the formatted message when [cond] is false. *)
+    the formatted message when [cond] is false. The message is formatted
+    only then, so a passing check runs none of its [%a] printers: pass
+    values with [%a] rather than pre-formatted strings. *)
 
 val result : collector -> result

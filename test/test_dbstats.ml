@@ -71,6 +71,38 @@ let test_histogram_cmp_consistency () =
   let gt = Dbstats.Histogram.cmp_selectivity h Query.Predicate.Gt 250 in
   Alcotest.(check (Alcotest.float 0.02)) "le + gt = 1" 1.0 (le +. gt)
 
+(* [of_counts] picks the bounds [build] picks over the expanded values. *)
+let of_counts_matches_build ~buckets ~lo counts =
+  let expanded =
+    Array.concat (Array.to_list (Array.mapi (fun k c -> Array.make c (lo + k)) counts))
+  in
+  let bounds h = Option.map Dbstats.Histogram.bounds h in
+  bounds (Dbstats.Histogram.of_counts ~buckets ~lo counts)
+  = bounds (Dbstats.Histogram.build ~buckets expanded)
+
+(* Random count arrays with many zero keys, negative and positive
+   offsets, and bucket counts above and below the number of values. *)
+let histogram_of_counts =
+  Support.qcheck_case ~count:300 ~name:"histogram of counts = build over expanded values"
+    QCheck.(triple small_int (int_range 0 60) (int_range 1 120))
+    (fun (seed, keys, buckets) ->
+      let prng = Util.Prng.create seed in
+      let counts = Array.init keys (fun _ -> max 0 (Util.Prng.int prng 7 - 3)) in
+      let lo = Util.Prng.int prng 2001 - 1000 in
+      of_counts_matches_build ~buckets ~lo counts)
+
+let test_histogram_of_counts_edges () =
+  List.iter
+    (fun (what, counts, buckets) ->
+      Alcotest.(check bool) what true (of_counts_matches_build ~buckets ~lo:5 counts))
+    [
+      ("no keys", [||], 10);
+      ("total of 0", [| 0; 0; 0 |], 10);
+      ("one value, many buckets", [| 0; 1; 0 |], 100);
+      ("more buckets than values", [| 2; 0; 0; 1; 0; 3 |], 50);
+      ("zero-count keys at both ends", [| 0; 0; 4; 0; 5; 0; 0 |], 3);
+    ]
+
 (* --- Column_stats ----------------------------------------------------------------- *)
 
 let stats_of table col =
@@ -109,7 +141,7 @@ let test_column_stats_distinct_exact () =
 
 let test_column_stats_ranks () =
   let s = stats_of "company_name" "country_code" in
-  match s.Dbstats.Column_stats.rank_of_code with
+  match Dbstats.Column_stats.ranks s with
   | None -> Alcotest.fail "string column must have ranks"
   | Some ranks ->
       let sorted = Array.copy ranks in
@@ -256,8 +288,8 @@ let check_reference what table ~col ~sample_rows ~buckets ~mcv_entries
     && same_float exact cs.distinct_exact
     && Array.length mcv = Array.length cs.mcv
     && Array.for_all2 (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2) mcv cs.mcv
-    && bounds = Option.map Dbstats.Histogram.bounds cs.histogram
-    && ranks = cs.rank_of_code
+    && bounds = Option.map Dbstats.Histogram.bounds (Dbstats.Column_stats.histogram cs)
+    && ranks = Dbstats.Column_stats.ranks cs
   in
   if not ok then Alcotest.failf "%s differs from the reference build" what
 
@@ -339,14 +371,25 @@ let test_column_stats_identity () =
             (fun name ->
               let stats = Dbstats.Analyze.table analyze name in
               let sample_rows = stats.Dbstats.Analyze.sample.Dbstats.Sample.rows in
+              if Array.exists Util.Once.is_val stats.Dbstats.Analyze.columns then
+                Alcotest.failf "scale %g, %s, %s: a column was analyzed before it was read"
+                  scale label name;
               Array.iteri
                 (fun col cs ->
                   let what =
                     Printf.sprintf "scale %g, %s, %s column %d" scale label name col
                   in
+                  (* Only a string column's order statistics wait for a reader. *)
+                  let column = Storage.Table.column stats.Dbstats.Analyze.table col in
+                  let eager = Storage.Column.dict column = None in
+                  Alcotest.(check (pair bool bool))
+                    (what ^ ": histogram and ranks built with the other statistics")
+                    (eager, eager)
+                    ( Util.Once.is_val cs.Dbstats.Column_stats.histogram_cell,
+                      Util.Once.is_val cs.Dbstats.Column_stats.ranks_cell );
                   check_reference what stats.Dbstats.Analyze.table ~col ~sample_rows ~buckets
                     ~mcv_entries cs)
-                stats.Dbstats.Analyze.columns)
+                (Array.map Util.Once.force stats.Dbstats.Analyze.columns))
             (Storage.Database.table_names db))
         [
           ("default", Dbstats.Analyze.create db, 100, 100);
@@ -354,6 +397,36 @@ let test_column_stats_identity () =
         ])
     [ 0.001; 0.005 ];
   synthetic_kernel_cases ()
+
+(* Two domains read the same string column of an analyzed table at
+   once, building its statistics, then its deferred histogram and
+   ranks: neither raises, and both get what a serial read on an
+   instance with the same seed gets. *)
+let test_deferred_statistics_two_domains () =
+  let db = Lazy.force Support.imdb_mid in
+  let table = "movie_info_idx" in
+  let col = Storage.Table.column_index (Storage.Database.find_table db table) "info" in
+  let forced analyze =
+    let cs = Dbstats.Analyze.column analyze ~table ~col in
+    ( Option.map Dbstats.Histogram.bounds (Dbstats.Column_stats.histogram cs),
+      Dbstats.Column_stats.ranks cs )
+  in
+  let serial = forced (Dbstats.Analyze.create db) in
+  Alcotest.(check bool) "serial read has a histogram" true (fst serial <> None);
+  let pool = Util.Domain_pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+    (fun () ->
+      for round = 1 to 10 do
+        let analyze = Dbstats.Analyze.create db in
+        ignore (Dbstats.Analyze.table analyze table);
+        Array.iter
+          (fun got ->
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d: equal to the serial read" round)
+              true (got = serial))
+          (Util.Domain_pool.map_array pool (fun _ -> forced analyze) [| 0; 1 |])
+      done)
 
 (* --- Analyze ------------------------------------------------------------------------- *)
 
@@ -375,7 +448,7 @@ let test_analyze_column_access () =
   let t = Storage.Database.find_table db "title" in
   let col = Storage.Table.column_index t "production_year" in
   let cs = Dbstats.Analyze.column a ~table:"title" ~col in
-  Alcotest.(check bool) "has histogram" true (cs.Dbstats.Column_stats.histogram <> None)
+  Alcotest.(check bool) "has histogram" true (Dbstats.Column_stats.histogram cs <> None)
 
 (* --- Statistics warm-up ------------------------------------------------------------ *)
 
@@ -407,9 +480,9 @@ let same_column_stats (a : Dbstats.Column_stats.t) (b : Dbstats.Column_stats.t) 
   && same_float a.distinct_exact b.distinct_exact
   && Array.length a.mcv = Array.length b.mcv
   && Array.for_all2 (fun (c1, f1) (c2, f2) -> c1 = c2 && same_float f1 f2) a.mcv b.mcv
-  && Option.map Dbstats.Histogram.bounds a.histogram
-     = Option.map Dbstats.Histogram.bounds b.histogram
-  && a.rank_of_code = b.rank_of_code
+  && Option.map Dbstats.Histogram.bounds (Dbstats.Column_stats.histogram a)
+     = Option.map Dbstats.Histogram.bounds (Dbstats.Column_stats.histogram b)
+  && Dbstats.Column_stats.ranks a = Dbstats.Column_stats.ranks b
 
 (* The warm-up that stops at saturation leaves both ANALYZE instances as
    the full replay does: the same number of analyzed tables, then (in
@@ -449,7 +522,10 @@ let test_warm_statistics_oracle () =
                   let sa = Dbstats.Analyze.table a name and sb = Dbstats.Analyze.table b name in
                   if sa.sample.rows <> sb.sample.rows then
                     Alcotest.failf "%s: %s sample differs" what name;
-                  if not (Array.for_all2 same_column_stats sa.columns sb.columns) then
+                  let columns (s : Dbstats.Analyze.table_stats) =
+                    Array.map Util.Once.force s.columns
+                  in
+                  if not (Array.for_all2 same_column_stats (columns sa) (columns sb)) then
                     Alcotest.failf "%s: %s column stats differ" what name)
                 tables)
             [
@@ -467,6 +543,8 @@ let suite =
     Alcotest.test_case "histogram bounds" `Quick test_histogram_bounds_sorted;
     histogram_vs_brute_force;
     Alcotest.test_case "histogram cmp consistency" `Quick test_histogram_cmp_consistency;
+    histogram_of_counts;
+    Alcotest.test_case "histogram of counts edges" `Quick test_histogram_of_counts_edges;
     Alcotest.test_case "stats null fraction" `Quick test_column_stats_null_fraction;
     Alcotest.test_case "stats mcv" `Quick test_column_stats_mcv;
     Alcotest.test_case "stats distinct" `Quick test_column_stats_distinct_exact;
@@ -474,6 +552,8 @@ let suite =
     Alcotest.test_case "rank of string" `Quick test_rank_of_string_boundary;
     Alcotest.test_case "rank of string = linear count" `Quick test_rank_of_string_linear;
     Alcotest.test_case "column stats = reference build" `Quick test_column_stats_identity;
+    Alcotest.test_case "deferred statistics, two domains" `Quick
+      test_deferred_statistics_two_domains;
     Alcotest.test_case "analyze caching" `Quick test_analyze_caching;
     Alcotest.test_case "analyze column access" `Quick test_analyze_column_access;
     Alcotest.test_case "warm-up = full replay" `Quick test_warm_statistics_oracle;

@@ -370,6 +370,55 @@ let like_matches_reference =
       let s = String.map (fun c -> if c = '%' || c = '_' then 'a' else c) s in
       Query.Like_match.matches ~pattern s = reference_like pattern s 0 0)
 
+(* Connectivity and neighbours by a breadth-first search over the edge
+   list, sharing no code with [Query_graph]'s bit loops. *)
+let reference_neighbors g s =
+  List.fold_left
+    (fun acc (e : QG.edge) ->
+      let acc =
+        if Bitset.mem e.left s && not (Bitset.mem e.right s) then Bitset.add e.right acc
+        else acc
+      in
+      if Bitset.mem e.right s && not (Bitset.mem e.left s) then Bitset.add e.left acc
+      else acc)
+    Bitset.empty (QG.edges g)
+
+let reference_connected g s =
+  if Bitset.is_empty s then false
+  else begin
+    let seen = Array.make (QG.n_relations g) false in
+    let queue = Queue.create () in
+    let visit r =
+      if Bitset.mem r s && not seen.(r) then begin
+        seen.(r) <- true;
+        Queue.add r queue
+      end
+    in
+    visit (List.hd (Bitset.to_list s));
+    while not (Queue.is_empty queue) do
+      let r = Queue.pop queue in
+      List.iter
+        (fun (e : QG.edge) ->
+          if e.left = r then visit e.right;
+          if e.right = r then visit e.left)
+        (QG.edges g)
+    done;
+    List.for_all (fun r -> seen.(r)) (Bitset.to_list s)
+  end
+
+let connectivity_random =
+  Support.qcheck_case ~count:60 ~name:"is_connected and neighbors = reference BFS"
+    QCheck.(triple small_int (int_range 1 10) (int_range 0 8))
+    (fun (seed, relations, extra_edges) ->
+      let prng = Util.Prng.create seed in
+      let db = Support.micro_db prng ~tables:relations ~rows:5 in
+      let g = Support.micro_query prng db ~relations ~extra_edges in
+      List.for_all
+        (fun s ->
+          QG.is_connected g s = reference_connected g s
+          && QG.neighbors g s = reference_neighbors g s)
+        (List.init (1 lsl relations) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "LIKE matching" `Quick test_like_cases;
@@ -395,4 +444,5 @@ let suite =
     star_subsets;
     Alcotest.test_case "plan space = brute force (JOB)" `Quick test_plan_space_job;
     plan_space_random;
+    connectivity_random;
   ]

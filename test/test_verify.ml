@@ -343,7 +343,9 @@ let test_lint_rejects_duplicate_edge () =
   Alcotest.(check bool) "PK mislabel flagged" true
     (has_violation ~containing:"primary key" (Verify.check_graph g))
 
-let test_lint_rejects_duplicate_predicate () =
+(* t1 carries the same atom twice; the second graph puts it once on
+   each alias. *)
+let duplicate_predicate_graphs () =
   let prng = Util.Prng.create 7 in
   let db = Support.micro_db prng ~tables:2 ~rows:10 in
   let atom = Query.Predicate.Cmp { col = 0; op = Query.Predicate.Gt; code = 3 } in
@@ -367,17 +369,86 @@ let test_lint_rejects_duplicate_predicate () =
       pk_side = Some `Right;
     }
   in
-  let g = QG.create ~name:"duppred" rels [ e ] in
+  let rels_ok = Array.map (fun r -> { r with QG.preds = [ atom ] }) rels in
+  (QG.create ~name:"duppred" rels [ e ], QG.create ~name:"okpred" rels_ok [ e ])
+
+let test_lint_rejects_duplicate_predicate () =
+  let g, g_ok = duplicate_predicate_graphs () in
   Alcotest.(check bool) "duplicate filter predicate flagged" true
     (has_violation ~containing:"duplicate filter predicate"
        (Verify.check_graph g));
   (* The same atom on two different aliases is fine. *)
-  let rels_ok =
-    Array.map (fun r -> { r with QG.preds = [ atom ] }) rels
-  in
-  let g_ok = QG.create ~name:"okpred" rels_ok [ e ] in
   Alcotest.(check bool) "distinct per-alias predicates clean" true
     (Verify.Violation.ok (Verify.check_graph g_ok))
+
+(* ------------------------------------------------------------------ *)
+(* Check counts and messages                                           *)
+
+(* A report as [jobench verify] prints it: the check count, then every
+   violation's pass, subject and message. *)
+let report r = Format.asprintf "%a" Verify.Violation.pp_report r
+
+(* Passing checks format nothing, failing ones format as they always
+   have: one report of each kind from every sanitizer, pinned byte for
+   byte with its check count. *)
+let test_reports_pinned () =
+  let db, g = chain_graph () in
+  let s0 = Plan.scan 0 and s1 = Plan.scan 1 in
+  let j = Plan.join Plan.Hash_join ~outer:s0 ~inner:s1 in
+  let dup =
+    {
+      Plan.op = Plan.Join { algo = Plan.Hash_join; outer = j; inner = s1 };
+      set = Bitset.of_list [ 0; 1; 2 ];
+    }
+  in
+  let good =
+    Plan.join Plan.Hash_join ~outer:(Plan.join Plan.Hash_join ~outer:s1 ~inner:s0)
+      ~inner:(Plan.scan 2)
+  in
+  let blowup =
+    poisoned (fun _ -> 2.0) (fun s -> 1000.0 ** float_of_int (Bitset.cardinal s))
+  in
+  let env = { Cost.Cost_model.graph = g; db; card = (fun _ -> 10.0) } in
+  let forgetful =
+    {
+      Cost.Cost_model.name = "forgetful";
+      scan_cost = (fun env r -> Cost.Cost_model.cmm.Cost.Cost_model.scan_cost env r);
+      join_cost =
+        (fun _ _ ~outer:_ ~inner:_ ~outer_cost:_ ~inner_cost:_ ~out_card:_ ~outer_card:_
+             ~inner_card:_ -> 0.5);
+    }
+  in
+  let expected =
+    [
+      "20 checks, 0 violations\n";
+      "19 checks, 3 violations:\n";
+      "  [plan-sanitizer] plan: join children overlap on {1}\n";
+      "  [plan-sanitizer] plan: join node set {0,1,2} is not the union of its children {0,1} and {1}\n";
+      "  [plan-sanitizer] plan: relation 1 (t1) appears 2 times\n";
+      "24 checks, 6 violations:\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+06 for {0,1} exceeds cross-product bound 4 · est({0})=1000 · base(1)=2\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+06 for {0,2} exceeds cross-product bound 4 · est({0})=1000 · base(2)=2\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+06 for {0,1} exceeds cross-product bound 4 · est({1})=1000 · base(0)=2\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+06 for {0,2} exceeds cross-product bound 4 · est({2})=1000 · base(0)=2\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+09 for {0,1,2} exceeds cross-product bound 4 · est({0,1})=1e+06 · base(2)=2\n";
+      "  [estimate-sanitizer] estimator: estimate 1e+09 for {0,1,2} exceeds cross-product bound 4 · est({0,2})=1e+06 · base(1)=2\n";
+      "14 checks, 3 violations:\n";
+      "  [cost-sanitizer] cost: hash join at {0,1} costs 0.5, less than its outer child {1} at 2\n";
+      "  [cost-sanitizer] cost: hash join at {0,1} costs 0.5, less than its inner child {0} at 2\n";
+      "  [cost-sanitizer] cost: hash join at {0,1,2} costs 0.5, less than its inner child {2} at 2\n";
+      "16 checks, 1 violations:\n";
+      "  [query-graph-lint] duppred: duplicate filter predicate on t1: id > 3\n";
+    ]
+  in
+  Alcotest.(check string) "reports" (String.concat "" expected)
+    (String.concat ""
+       [
+         report (Verify.check_plan g good);
+         report (Verify.check_plan g dup);
+         report (Verify.check_estimates g blowup);
+         report (Verify.check_costs env forgetful good);
+         report (Verify.check_graph (fst (duplicate_predicate_graphs ())));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Enumerator / harness integration                                    *)
@@ -452,6 +523,7 @@ let suite =
     Alcotest.test_case "lint rejects bad edges" `Quick test_lint_rejects_duplicate_edge;
     Alcotest.test_case "lint rejects duplicate predicates" `Quick
       test_lint_rejects_duplicate_predicate;
+    Alcotest.test_case "reports pinned" `Quick test_reports_pinned;
     Alcotest.test_case "ensure_plan raises on malformed plans" `Quick test_ensure_plan_raises;
     Alcotest.test_case "harness debug verify" `Quick test_harness_verifies_choices;
   ]
