@@ -44,13 +44,17 @@ let compositional ~name ~graph ~base ~edge_selectivity ?(combine = Independence)
         v
   in
   let memo : (Bitset.t, float) Hashtbl.t = Hashtbl.create 256 in
+  (* Each edge's two relations as a mask, and the edge oriented both
+     ways, so a probe filters no list and allocates no edge. *)
+  let edges = Array.of_list (QG.edges graph) in
+  let flipped = Array.map QG.flip edges in
+  let emask = Array.map (fun (e : QG.edge) -> Bitset.of_list [ e.QG.left; e.QG.right ]) edges in
   (* Number of edges already applied inside a subset, for backoff
      numbering (deterministic because the decomposition is canonical). *)
   let edges_inside s =
-    List.length
-      (List.filter
-         (fun (e : QG.edge) -> Bitset.mem e.QG.left s && Bitset.mem e.QG.right s)
-         (QG.edges graph))
+    let k = ref 0 in
+    Array.iter (fun m -> if Bitset.subset m s then incr k) emask;
+    !k
   in
   let rec subset s =
     if Bitset.is_empty s then invalid_arg "Estimator: empty subset"
@@ -62,30 +66,30 @@ let compositional ~name ~graph ~base ~edge_selectivity ?(combine = Independence)
       | None ->
           let r = canonical_split graph s in
           let rest = Bitset.remove r s in
-          let crossing = QG.edges_between graph rest (Bitset.singleton r) in
           let rest_est = subset rest in
           let base_est = base_memo r in
-          let already = edges_inside rest in
-          let joined =
-            List.fold_left
-              (fun (acc, j) e ->
-                let sel = edge_selectivity e in
-                let sel =
-                  match combine with
-                  | Independence -> sel
-                  | Backoff c ->
-                      (* Every join selectivity after the first is damped
-                         by a constant exponent c < 1 (raised toward 1):
-                         the more predicates, the less the system trusts
-                         full independence. *)
-                      if j = 0 then sel else sel ** c
-                in
-                (acc *. sel, j + 1))
-              (rest_est *. base_est, already)
-              crossing
-            |> fst
-          in
-          let v = apply_rounding rounding joined in
+          (* The edges between [rest] and [r], in edge order, each with
+             [left] in [rest] (as [QG.edges_between rest {r}] gives them). *)
+          let joined = ref (rest_est *. base_est) and j = ref (edges_inside rest) in
+          for i = 0 to Array.length edges - 1 do
+            if Bitset.mem r emask.(i) && Bitset.subset emask.(i) s then begin
+              let e = if edges.(i).QG.right = r then edges.(i) else flipped.(i) in
+              let sel = edge_selectivity e in
+              let sel =
+                match combine with
+                | Independence -> sel
+                | Backoff c ->
+                    (* Every join selectivity after the first is damped
+                       by a constant exponent c < 1 (raised toward 1):
+                       the more predicates, the less the system trusts
+                       full independence. *)
+                    if !j = 0 then sel else sel ** c
+              in
+              joined := !joined *. sel;
+              incr j
+            end
+          done;
+          let v = apply_rounding rounding !joined in
           Hashtbl.add memo s v;
           v
   in

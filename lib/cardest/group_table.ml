@@ -141,11 +141,13 @@ let maybe_grow t =
 
 let group_capacity t = Array.length t.counts
 
+let key_width t = if t.packed then 1 else max 1 t.arity
+
 let grow_groups t =
   if t.n = group_capacity t then begin
     let cap = 2 * group_capacity t in
-    let keys = Array.make (cap * max 1 (if t.packed then 1 else t.arity)) 0 in
-    Array.blit t.keys 0 keys 0 (Array.length t.keys);
+    let keys = Array.make (cap * key_width t) 0 in
+    Array.blit t.keys 0 keys 0 (t.n * key_width t);
     t.keys <- keys;
     let counts = Array.make cap 0.0 in
     Array.blit t.counts 0 counts 0 t.n;
@@ -199,17 +201,16 @@ let locate_arena t =
   done;
   !i
 
-let find_scratch t =
+let find t =
   if t.packed then begin
     let k = pack_scratch t in
-    if k < 0 then 0.0
-    else
-      let id = t.slots.(locate_packed t k) in
-      if id < 0 then 0.0 else t.counts.(id)
+    if k < 0 then -1 else t.slots.(locate_packed t k)
   end
-  else
-    let id = t.slots.(locate_arena t) in
-    if id < 0 then 0.0 else t.counts.(id)
+  else t.slots.(locate_arena t)
+
+let find_scratch t =
+  let id = find t in
+  if id < 0 then 0.0 else t.counts.(id)
 
 let add_scratch t delta =
   maybe_grow t;
@@ -238,6 +239,23 @@ let component t id f =
     | _ -> if f = 0 then Packed.unpack2_fst k else Packed.unpack2_snd k
   end
   else t.keys.((id * t.arity) + f)
+
+(* Empty the slots of a few groups one by one: probing from each
+   group's home slot for its own id finds it whatever holes the groups
+   cleared before it left. A table with many groups refills the whole
+   slot array instead. *)
+let clear t =
+  if 4 * t.n < Array.length t.slots then
+    for id = 0 to t.n - 1 do
+      let i = ref (hash_of_group t id land t.mask) in
+      while t.slots.(!i) <> id do
+        i := (!i + 1) land t.mask
+      done;
+      t.slots.(!i) <- -1
+    done
+  else Array.fill t.slots 0 (Array.length t.slots) (-1);
+  t.n <- 0;
+  t.packed <- t.arity <= 2
 
 let iter t f =
   for id = 0 to t.n - 1 do

@@ -32,11 +32,22 @@ val find_scratch : t -> float
 (** Multiplicity of the scratch key, 0.0 when absent (multiplicities
     are strictly positive by construction). *)
 
+val find : t -> int
+(** Group id of the scratch key, -1 when absent. Unlike
+    {!find_scratch} it returns no float, so a caller's loop reading
+    {!count} boxes nothing. *)
+
 val count : t -> int -> float
 (** Multiplicity of group [id], [0 <= id < groups t]. *)
 
 val component : t -> int -> int -> int
 (** [component t id f] is field [f] of group [id]'s key. *)
+
+val clear : t -> unit
+(** Remove every group, keeping the allocated capacity: the table then
+    behaves as a fresh one of the same arity (a table that migrated to
+    the arena packs narrow keys again). Costs O(groups) while few slots
+    are in use. *)
 
 val iter : t -> (int -> float -> unit) -> unit
 (** Iterate groups in insertion order: [f id count]. *)

@@ -8,85 +8,15 @@ type t = {
   cards : float array;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Join-attribute equivalence classes                                  *)
-
-(* Union-find over (relation, column) pairs connected by join edges. *)
-module Classes = struct
-  type uf = { parents : (int * int, int * int) Hashtbl.t }
-
-  let rec find uf x =
-    match Hashtbl.find_opt uf.parents x with
-    | None -> x
-    | Some p when p = x -> x
-    | Some p ->
-        let root = find uf p in
-        Hashtbl.replace uf.parents x root;
-        root
-
-  let union uf a b =
-    let ra = find uf a and rb = find uf b in
-    if ra <> rb then Hashtbl.replace uf.parents ra rb
-
-  let ensure uf x = if not (Hashtbl.mem uf.parents x) then Hashtbl.add uf.parents x x
-
-  (* Per-relation sorted (class id, column) pairs for one subset — as
-     two parallel arrays, since the counting kernels scan them in tight
-     loops — derived from the join edges {e inside} that subset only.
-     Using in-subset edges (not the whole query's transitive closure)
-     matches the semantics of the executor and the enumerator: a
-     subexpression applies exactly the join predicates whose both sides
-     it contains. *)
-  let build_subset graph s =
-    let uf = { parents = Hashtbl.create 16 } in
-    let in_subset (e : QG.edge) =
-      Util.Bitset.mem e.QG.left s && Util.Bitset.mem e.QG.right s
-    in
-    let edges = List.filter in_subset (QG.edges graph) in
-    List.iter
-      (fun (e : QG.edge) ->
-        let a = (e.QG.left, e.QG.left_col) and b = (e.QG.right, e.QG.right_col) in
-        ensure uf a;
-        ensure uf b;
-        union uf a b)
-      edges;
-    let class_of_root = Hashtbl.create 16 in
-    let next = ref 0 in
-    let class_id pair =
-      let root = find uf pair in
-      match Hashtbl.find_opt class_of_root root with
-      | Some id -> id
-      | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.add class_of_root root id;
-          id
-    in
-    let n = QG.n_relations graph in
-    let pairs = Array.make n [] in
-    List.iter
-      (fun (e : QG.edge) ->
-        List.iter
-          (fun (r, col) ->
-            let c = class_id (r, col) in
-            if not (List.mem_assoc c pairs.(r)) then
-              pairs.(r) <- (c, col) :: pairs.(r))
-          [ (e.QG.left, e.QG.left_col); (e.QG.right, e.QG.right_col) ])
-      edges;
-    Array.map
-      (fun ps ->
-        let ps = List.sort compare ps in
-        (Array.of_list (List.map fst ps), Array.of_list (List.map snd ps)))
-      pairs
-end
-
 let array_mem x a = Array.exists (fun y -> y = x) a
 
 (* ------------------------------------------------------------------ *)
 (* Compressed relations: multiplicity per join-class value tuple       *)
 
 type compressed = {
-  classes : int array; (* sorted class ids; key positions correspond *)
+  classes : int array;
+      (* what each key field holds, ascending: a column id in the base
+         groups, a subset's class id once projected for the fallback *)
   groups : GT.t;
 }
 
@@ -114,21 +44,22 @@ let project c ~onto =
     let pos = positions ~from:c.classes ~wanted:onto in
     let groups = GT.create ~arity:(Array.length onto) ~expected:(GT.groups c.groups) () in
     let dst = GT.scratch groups in
-    GT.iter c.groups (fun id count ->
-        extract c.groups id pos dst;
-        GT.add_scratch groups count);
+    for id = 0 to GT.groups c.groups - 1 do
+      extract c.groups id pos dst;
+      GT.add_scratch groups (GT.count c.groups id)
+    done;
     { classes = onto; groups }
   end
 
 let total c = GT.total c.groups
 
-(* Base groups are keyed by raw column ids (every join column of the
-   relation); per-subset localization projects onto the columns the
-   subset's own edges mention and relabels them to local class ids.
-   The row loop is the single hottest spot of Table 1: predicates run
-   through a selection vector (one compaction pass per atom instead of
-   a closure call per row), and each surviving row aggregates through
-   the table's scratch key without allocating. *)
+(* Base groups are keyed by raw column ids: every join column of the
+   relation, ascending. A subset reads them as they are, through the
+   class labels of its columns (below); only the cyclic fallback
+   projects them. The row loop is the single hottest spot of Table 1:
+   predicates run through a selection vector (one compaction pass per
+   atom instead of a closure call per row), and each surviving row
+   aggregates through the table's scratch key without allocating. *)
 let base_compressed graph r =
   let relation = QG.relation graph r in
   let table = relation.QG.table in
@@ -175,178 +106,279 @@ let base_compressed graph r =
   { classes; groups }
 
 (* ------------------------------------------------------------------ *)
-(* Join trees                                                          *)
+(* Join-attribute classes of one subset                                *)
 
-(* A join tree over the relations of a subset: a maximum spanning tree of
-   the "shared class count" graph. For acyclic (hyper)queries this
-   satisfies the running-intersection property, which we verify; cyclic
-   subsets fall back to pairwise joins. *)
-module Join_tree = struct
-  type node = {
-    rel : int;
-    mutable children : node list;
+(* The query's join columns, numbered: relation [r]'s base key fields
+   are the slots [first.(r)] .. [first.(r + 1) - 1], in key order. A
+   subset's classes come from union-find over the slots its own edges
+   join (not the whole query's transitive closure): that matches the
+   executor and the enumerator, where a subexpression applies exactly
+   the join predicates whose both sides it contains. The slot and edge
+   numbering is fixed per graph; the rest is scratch that each subset
+   overwrites for its own members only. *)
+type work = {
+  first : int array;
+  rel_of : int array;  (** relation of each slot *)
+  emask : int array;  (** per edge, in [QG.edges] order: its two relations *)
+  eleft : int array;  (** per edge: slot of the left column *)
+  eright : int array;
+  parent : int array;  (** union-find over slots *)
+  class_of_root : int array;
+  label : int array;
+      (** class of a slot within the subset, or -1: the column no inside
+          edge uses, or not the relation's first column of its class *)
+  cmask : int array;  (** per relation: its classes, as bits *)
+  order : int array;  (** join-tree nodes in the order Prim adds them *)
+  tparent : int array;  (** per relation: its join-tree parent *)
+  msg : GT.t array;  (** per relation: its message to its parent *)
+  child_msg : GT.t array;
+  child_pos : int array array;
+  pool : GT.t list array;
+      (** free message tables by arity, for one [compute] call *)
+}
+
+let make_work graph (base : compressed array) =
+  let n = QG.n_relations graph in
+  let first = Array.make (n + 1) 0 in
+  for r = 0 to n - 1 do
+    first.(r + 1) <- first.(r) + Array.length base.(r).classes
+  done;
+  let slots = first.(n) in
+  let rel_of = Array.make slots 0 in
+  for r = 0 to n - 1 do
+    Array.fill rel_of first.(r) (first.(r + 1) - first.(r)) r
+  done;
+  let slot r col = first.(r) + Option.get (Array.find_index (( = ) col) base.(r).classes) in
+  let edges = Array.of_list (QG.edges graph) in
+  let dummy = GT.create ~arity:0 ~expected:1 () in
+  let widest = Array.fold_left (fun acc b -> max acc (Array.length b.classes)) 0 base in
+  {
+    first;
+    rel_of;
+    emask = Array.map (fun (e : QG.edge) -> Bitset.of_list [ e.left; e.right ]) edges;
+    eleft = Array.map (fun (e : QG.edge) -> slot e.left e.left_col) edges;
+    eright = Array.map (fun (e : QG.edge) -> slot e.right e.right_col) edges;
+    parent = Array.make slots 0;
+    class_of_root = Array.make slots 0;
+    label = Array.make slots 0;
+    cmask = Array.make n 0;
+    order = Array.make n 0;
+    tparent = Array.make n 0;
+    msg = Array.make n dummy;
+    child_msg = Array.make n dummy;
+    child_pos = Array.make n [||];
+    pool = Array.make (widest + 1) [];
   }
 
-  let shared_classes rel_classes r1 r2 =
-    let c1, _ = rel_classes.(r1) and c2, _ = rel_classes.(r2) in
-    let count =
-      Array.fold_left (fun acc c -> if array_mem c c2 then acc + 1 else acc) 0 c1
-    in
-    let out = Array.make count 0 in
-    let k = ref 0 in
-    Array.iter
-      (fun c ->
-        if array_mem c c2 then begin
-          out.(!k) <- c;
-          incr k
-        end)
-      c1;
-    out
+let rec find parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let root = find parent p in
+    parent.(x) <- root;
+    root
+  end
 
-  let n_shared rel_classes r1 r2 =
-    let c1, _ = rel_classes.(r1) and c2, _ = rel_classes.(r2) in
-    Array.fold_left (fun acc c -> if array_mem c c2 then acc + 1 else acc) 0 c1
+let inside w s e = Bitset.subset w.emask.(e) s
 
-  (* Maximum spanning tree (Prim) over the subset's relations, weights =
-     number of shared classes. Returns the root node, or None when the
-     subset is not join-connected through classes (cannot happen for
-     connected query subsets). *)
-  let build rel_classes members =
-    match members with
-    | [] -> invalid_arg "Join_tree.build: empty"
-    | root_rel :: _ ->
-        let nodes = Hashtbl.create (List.length members) in
-        let node_of r =
-          match Hashtbl.find_opt nodes r with
-          | Some n -> n
-          | None ->
-              let n = { rel = r; children = [] } in
-              Hashtbl.add nodes r n;
-              n
-        in
-        let in_tree = ref [ root_rel ] in
-        let out = ref (List.filter (fun r -> r <> root_rel) members) in
-        let root = node_of root_rel in
-        while !out <> [] do
-          (* Best (weight, inside, outside) pair. *)
-          let best = ref None in
-          List.iter
-            (fun o ->
-              List.iter
-                (fun i ->
-                  let w = n_shared rel_classes i o in
-                  if w > 0 then
-                    match !best with
-                    | Some (bw, _, _) when bw >= w -> ()
-                    | _ -> best := Some (w, i, o))
-                !in_tree)
-            !out;
-          match !best with
-          | None -> invalid_arg "Join_tree.build: disconnected subset"
-          | Some (_, i, o) ->
-              let parent = node_of i in
-              parent.children <- node_of o :: parent.children;
-              in_tree := o :: !in_tree;
-              out := List.filter (fun r -> r <> o) !out
-        done;
-        root
+(* Give the slot's class an id (numbered in order of first mention) and
+   label the slot with it, unless another column of the same relation
+   already carries that class. *)
+let mark w next x =
+  let root = find w.parent x in
+  if w.class_of_root.(root) < 0 then begin
+    w.class_of_root.(root) <- !next;
+    incr next
+  end;
+  let c = w.class_of_root.(root) in
+  let r = w.rel_of.(x) in
+  let k = ref w.first.(r) in
+  while !k < w.first.(r + 1) && w.label.(!k) <> c do
+    incr k
+  done;
+  if !k = w.first.(r + 1) then w.label.(x) <- c
 
-  (* Running intersection: for every class, the tree nodes whose relation
-     mentions it must form a connected subtree. *)
-  let running_intersection rel_classes root =
-    let ok = ref true in
-    let all_classes = Hashtbl.create 16 in
-    let rec collect n =
-      Array.iter
-        (fun c -> Hashtbl.replace all_classes c ())
-        (fst rel_classes.(n.rel));
-      List.iter collect n.children
-    in
-    collect root;
-    Hashtbl.iter
-      (fun cls () ->
-        (* Count connected components of nodes mentioning cls: walk the
-           tree; a component starts at a mentioning node whose parent
-           does not mention it. *)
-        let components = ref 0 in
-        let mentions r = array_mem cls (fst rel_classes.(r)) in
-        let rec walk parent_mentions n =
-          let m = mentions n.rel in
-          if m && not parent_mentions then incr components;
-          List.iter (walk m) n.children
-        in
-        walk false root;
-        if !components > 1 then ok := false)
-      all_classes;
-    !ok
-end
+(* Label the members' slots for subset [s]; returns the class count. *)
+let classify w s =
+  let m = ref s in
+  while !m <> 0 do
+    let r = Bitset.lowest !m in
+    for k = w.first.(r) to w.first.(r + 1) - 1 do
+      w.parent.(k) <- k;
+      w.class_of_root.(k) <- -1;
+      w.label.(k) <- -1
+    done;
+    m := !m land (!m - 1)
+  done;
+  for e = 0 to Array.length w.emask - 1 do
+    if inside w s e then begin
+      let a = find w.parent w.eleft.(e) and b = find w.parent w.eright.(e) in
+      if a <> b then w.parent.(a) <- b
+    end
+  done;
+  let next = ref 0 in
+  for e = 0 to Array.length w.emask - 1 do
+    if inside w s e then begin
+      mark w next w.eleft.(e);
+      mark w next w.eright.(e)
+    end
+  done;
+  !next
 
-(* Yannakakis-style bottom-up counting over a join tree: linear in the
-   sizes of the base groups, never materializing any joint distribution
-   wider than a single relation's own key. *)
-let count_acyclic rel_classes base_groups root =
-  (* Multiplicity of group [id] of [g] after multiplying in every child
-     subtree's message; 0.0 as soon as any child has no partners. *)
-  let combined_weight g child_info id count =
-    let w = ref count in
-    List.iter
-      (fun (pos, msg) ->
-        if !w > 0.0 then begin
-          extract g id pos (GT.scratch msg);
-          w := !w *. GT.find_scratch msg
-        end)
-      child_info;
-    !w
-  in
-  (* Message from the subtree rooted at [n], keyed by the classes shared
-     with its parent [p]. *)
-  let rec message (n : Join_tree.node) ~parent:p =
-    let g = base_groups.(n.Join_tree.rel).groups in
-    let classes = base_groups.(n.Join_tree.rel).classes in
-    let child_info =
-      List.map
-        (fun (c : Join_tree.node) ->
-          let shared =
-            Join_tree.shared_classes rel_classes n.Join_tree.rel c.Join_tree.rel
-          in
-          let msg = message c ~parent:n.Join_tree.rel in
-          (positions ~from:classes ~wanted:shared, msg))
-        n.Join_tree.children
+(* Each member's labelled classes, as bits. *)
+let class_masks w s =
+  let m = ref s in
+  while !m <> 0 do
+    let r = Bitset.lowest !m in
+    let mask = ref Bitset.empty in
+    for k = w.first.(r) to w.first.(r + 1) - 1 do
+      if w.label.(k) >= 0 then mask := Bitset.add w.label.(k) !mask
+    done;
+    w.cmask.(r) <- !mask;
+    m := !m land (!m - 1)
+  done
+
+(* Key positions, in [r]'s base key, of the classes in [mask],
+   ascending by class: the layout of a message over those classes. *)
+let positions_of w r mask =
+  let pos = Array.make (Bitset.cardinal mask) 0 in
+  let m = ref mask and f = ref 0 in
+  while !m <> 0 do
+    let c = Bitset.lowest !m in
+    let k = ref w.first.(r) in
+    while w.label.(!k) <> c do
+      incr k
+    done;
+    pos.(!f) <- !k - w.first.(r);
+    incr f;
+    m := !m land (!m - 1)
+  done;
+  pos
+
+(* ------------------------------------------------------------------ *)
+(* Join trees                                                          *)
+
+(* A join tree over the [k] members of [s], rooted at the lowest: a
+   maximum spanning tree (Prim) of the "shared class count" graph,
+   ties to the first pair met (outside nodes ascending, tree nodes
+   newest first). Fills [order] and [tparent]; returns whether it has
+   the running-intersection property — every class's nodes form one
+   subtree — which holds whenever the subset is acyclic. *)
+let join_tree w s k =
+  let root = Bitset.lowest s in
+  w.order.(0) <- root;
+  w.tparent.(root) <- -1;
+  let out = ref (Bitset.remove root s) in
+  for step = 1 to k - 1 do
+    let best = ref 0 and bi = ref (-1) and bo = ref (-1) in
+    let m = ref !out in
+    while !m <> 0 do
+      let o = Bitset.lowest !m in
+      for j = step - 1 downto 0 do
+        let i = w.order.(j) in
+        let shared = Bitset.cardinal (Bitset.inter w.cmask.(i) w.cmask.(o)) in
+        if shared > !best then begin
+          best := shared;
+          bi := i;
+          bo := o
+        end
+      done;
+      m := !m land (!m - 1)
+    done;
+    if !best = 0 then invalid_arg "True_card.join_tree: disconnected subset";
+    w.order.(step) <- !bo;
+    w.tparent.(!bo) <- !bi;
+    out := Bitset.remove !bo !out
+  done;
+  (* A class starts a subtree at a node that has it and whose parent
+     does not; a second start breaks running intersection. *)
+  let seen = ref Bitset.empty and ok = ref true in
+  for j = 0 to k - 1 do
+    let v = w.order.(j) in
+    let starts =
+      if j = 0 then w.cmask.(v) else Bitset.diff w.cmask.(v) w.cmask.(w.tparent.(v))
     in
-    let out_pos =
-      positions ~from:classes
-        ~wanted:(Join_tree.shared_classes rel_classes n.Join_tree.rel p)
-    in
-    let out = GT.create ~arity:(Array.length out_pos) ~expected:256 () in
-    GT.iter g (fun id count ->
-        let w = combined_weight g child_info id count in
-        if w > 0.0 then begin
+    if not (Bitset.disjoint !seen starts) then ok := false;
+    seen := Bitset.union !seen starts
+  done;
+  !ok
+
+(* ------------------------------------------------------------------ *)
+(* Counting                                                            *)
+
+let acquire w arity =
+  match w.pool.(arity) with
+  | t :: rest ->
+      w.pool.(arity) <- rest;
+      GT.clear t;
+      t
+  | [] -> GT.create ~arity ()
+
+let release w t = w.pool.(GT.arity t) <- t :: w.pool.(GT.arity t)
+
+(* Multiply each group of [g] by its [n] children's messages, looked up
+   through [child_pos]; add each non-zero weight into [out] under the
+   fields [out_pos] or, at the root, into the returned sum. No closure
+   and no captured ref: the weights stay unboxed. *)
+let absorb w g n ~out ~out_pos =
+  let sum = ref 0.0 in
+  for id = 0 to GT.groups g - 1 do
+    let wt = ref (GT.count g id) in
+    let q = ref 0 in
+    while !q < n && !wt > 0.0 do
+      let msg = w.child_msg.(!q) in
+      extract g id w.child_pos.(!q) (GT.scratch msg);
+      let mid = GT.find msg in
+      wt := if mid < 0 then 0.0 else !wt *. GT.count msg mid;
+      incr q
+    done;
+    if !wt > 0.0 then
+      match out with
+      | None -> sum := !sum +. !wt
+      | Some out ->
           extract g id out_pos (GT.scratch out);
-          GT.add_scratch out w
-        end);
-    out
-  in
-  let g = base_groups.(root.Join_tree.rel).groups in
-  let classes = base_groups.(root.Join_tree.rel).classes in
-  let child_info =
-    List.map
-      (fun (c : Join_tree.node) ->
-        let shared =
-          Join_tree.shared_classes rel_classes root.Join_tree.rel c.Join_tree.rel
-        in
-        let msg = message c ~parent:root.Join_tree.rel in
-        (positions ~from:classes ~wanted:shared, msg))
-      root.Join_tree.children
-  in
+          GT.add_scratch out !wt
+  done;
+  !sum
+
+(* Yannakakis-style bottom-up counting over the join tree, leaves
+   first: each node folds its children's messages into its own base
+   groups and sends its parent the multiplicities keyed by the classes
+   they share. Linear in the base groups' sizes, never materializing
+   anything wider than one relation's own key. *)
+let count_acyclic w (base : compressed array) k =
   let scalar = ref 0.0 in
-  GT.iter g (fun id count ->
-      scalar := !scalar +. combined_weight g child_info id count);
+  for j = k - 1 downto 0 do
+    let v = w.order.(j) in
+    let n = ref 0 in
+    for q = j + 1 to k - 1 do
+      let u = w.order.(q) in
+      if w.tparent.(u) = v then begin
+        w.child_msg.(!n) <- w.msg.(u);
+        w.child_pos.(!n) <- positions_of w v (Bitset.inter w.cmask.(v) w.cmask.(u));
+        incr n
+      end
+    done;
+    let g = base.(v).groups in
+    if j = 0 then scalar := absorb w g !n ~out:None ~out_pos:[||]
+    else begin
+      let shared = Bitset.inter w.cmask.(v) w.cmask.(w.tparent.(v)) in
+      let out = acquire w (Bitset.cardinal shared) in
+      ignore (absorb w g !n ~out:(Some out) ~out_pos:(positions_of w v shared));
+      w.msg.(v) <- out
+    end;
+    for q = 0 to !n - 1 do
+      release w w.child_msg.(q)
+    done
+  done;
   !scalar
 
-(* Fallback for cyclic subsets (e.g. TPC-H Q5): left-deep pairwise joins
-   of the compressed relations, projecting after every step onto the
-   classes still referenced by the remaining relations. *)
-let count_cyclic rel_classes base_groups members =
+(* Fallback for cyclic subsets (e.g. TPC-H Q5), over the members'
+   groups projected onto their subset classes: left-deep pairwise joins,
+   projecting after every step onto the classes still referenced by the
+   remaining relations. *)
+let count_cyclic (local : compressed array) members =
+  let shares a b = Array.exists (fun c -> array_mem c local.(b).classes) local.(a).classes in
   match members with
   | [] -> invalid_arg "True_card.count_cyclic: empty"
   | first :: rest ->
@@ -355,19 +387,14 @@ let count_cyclic rel_classes base_groups members =
       let remaining = ref rest in
       while !remaining <> [] do
         let next =
-          List.find
-            (fun r ->
-              List.exists
-                (fun i -> Join_tree.n_shared rel_classes i r > 0)
-                !order)
-            !remaining
+          List.find (fun r -> List.exists (fun i -> shares i r) !order) !remaining
         in
         order := !order @ [ next ];
         remaining := List.filter (fun r -> r <> next) !remaining
       done;
       let order = !order in
       let classes_of rs =
-        List.concat_map (fun r -> Array.to_list (fst rel_classes.(r))) rs
+        List.concat_map (fun r -> Array.to_list local.(r).classes) rs
         |> List.sort_uniq compare |> Array.of_list
       in
       let filter_mem a keep =
@@ -376,7 +403,7 @@ let count_cyclic rel_classes base_groups members =
       let rec go acc = function
         | [] -> total acc
         | r :: rest ->
-            let g = base_groups.(r) in
+            let g = local.(r) in
             let shared = filter_mem g.classes acc.classes in
             (* Classes still needed: mentioned by relations after r. *)
             let future = classes_of rest in
@@ -443,38 +470,46 @@ let count_cyclic rel_classes base_groups members =
                       partners);
             go { classes = out_classes; groups } rest
       in
-      let g0 = base_groups.(List.hd order) in
-      go g0 (List.tl order)
+      go local.(first) (List.tl order)
+
+(* Relation [r]'s base groups projected onto the columns its subset
+   classes label, keyed by those class ids ascending. *)
+let localize w (base : compressed array) r =
+  let pairs = ref [] in
+  for k = w.first.(r + 1) - 1 downto w.first.(r) do
+    if w.label.(k) >= 0 then
+      pairs := (w.label.(k), base.(r).classes.(k - w.first.(r))) :: !pairs
+  done;
+  let pairs = List.sort compare !pairs in
+  let projected = project base.(r) ~onto:(Array.of_list (List.map snd pairs)) in
+  { projected with classes = Array.of_list (List.map fst pairs) }
 
 (* ------------------------------------------------------------------ *)
 
-(* domlint: safe [R1] — empty sentinel shared read-only, never grown *)
-let empty_compressed =
-  { classes = [||]; groups = GT.create ~arity:0 ~expected:1 () }
-
 let compute graph =
-  let n = QG.n_relations graph in
-  let base_groups = Array.init n (base_compressed graph) in
+  let base = Array.init (QG.n_relations graph) (base_compressed graph) in
+  let w = make_work graph base in
   let count s =
-    let members = Bitset.to_list s in
-    match members with
-    | [ r ] -> total base_groups.(r)
-    | _ ->
-        (* Classes from the edges inside this subset only. *)
-        let rel_classes = Classes.build_subset graph s in
-        (* Localize base groups: project onto the columns this
-           subset's edges mention and relabel them to class ids. *)
-        let local_groups = Array.make n empty_compressed in
-        List.iter
-          (fun r ->
-            let class_ids, wanted_cols = rel_classes.(r) in
-            let projected = project base_groups.(r) ~onto:wanted_cols in
-            local_groups.(r) <- { projected with classes = class_ids })
-          members;
-        let root = Join_tree.build rel_classes members in
-        if Join_tree.running_intersection rel_classes root then
-          count_acyclic rel_classes local_groups root
-        else count_cyclic rel_classes local_groups members
+    let k = Bitset.cardinal s in
+    if k = 1 then total base.(Bitset.lowest s)
+    else begin
+      (* Class ids index the bits of [cmask], so a subset with more
+         than 62 classes takes the fallback too. *)
+      let acyclic =
+        classify w s <= 62
+        && begin
+             class_masks w s;
+             join_tree w s k
+           end
+      in
+      if acyclic then count_acyclic w base k
+      else begin
+        let members = Bitset.to_list s in
+        let local = Array.copy base in
+        List.iter (fun r -> local.(r) <- localize w base r) members;
+        count_cyclic local members
+      end
+    end
   in
   let cards = Array.map count (QG.connected_subsets graph) in
   { graph; cards }

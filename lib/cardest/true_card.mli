@@ -1,20 +1,27 @@
 (** Exact cardinalities of every connected subexpression of a query.
 
     This replaces the paper's [SELECT COUNT( * )] runs (Section 2.4).
-    Instead of materializing each intermediate result, the computation
-    aggregates multiplicities: every relation is first grouped by its
-    join attributes (more precisely, by the join-attribute {e equivalence
-    classes} induced by the query's equality predicates), and connected
-    subsets are then combined bottom-up, level by level, keeping only
-    counts per frontier-attribute value. The result is exact — projection
-    onto the frontier preserves total multiplicity — and the memory high
-    water mark is two levels of compressed tables rather than the full
-    intermediate results.
+    Instead of materializing intermediate results, the computation
+    aggregates multiplicities. One pass over each base table groups its
+    rows that pass the relation's predicates by all of its join columns.
+    Each connected subset then gets its join-attribute {e equivalence
+    classes} from the equality edges inside it, and a join tree over its
+    members. An acyclic subset is counted by Yannakakis-style message
+    passing over that tree, reading the members' base groups as they
+    are: each node multiplies its groups by its children's messages and
+    sends its parent the totals keyed by the classes they share. The
+    message tables come from a pool that lives for one {!compute} call
+    and are cleared for reuse, so a subset allocates almost nothing. A
+    cyclic subset falls back to pairwise joins of projected groups.
 
-    Cost: one pass over each base table plus work proportional to the
-    number of connected subsets times the size of the compressed tables
-    (bounded by the join-key domains, not by intermediate result
-    sizes). *)
+    Every intermediate value is an integer no larger than some connected
+    subset's cardinality, so the floats are exact, and independent of
+    the order of the sums and products, while cardinalities stay below
+    2^53.
+
+    Cost: one pass over each base table plus, per connected subset,
+    work proportional to its members' base group counts (bounded by the
+    join-key domains, not by intermediate result sizes). *)
 
 type t
 

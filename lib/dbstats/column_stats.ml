@@ -83,6 +83,62 @@ let hashed_counts data sample_rows ~freqs =
     Int_table.length freqs,
     Int_table.fold (fun _ c acc -> if c = 1 then acc + 1 else acc) freqs 0 )
 
+(* The [k] most frequent codes seen at least twice, as (code, count,
+   visit) triples, most frequent first. Among equal counts the code the
+   table's iteration visits later comes first: the order a stable sort
+   of the folded list [(code, count) :: acc] gives. A min-heap of [k]
+   entries keeps the best so far, its root the one to drop next. *)
+let top_frequencies freqs k =
+  let heap = Array.make (min k (Int_table.length freqs)) (0, 0, 0) in
+  let size = ref 0 in
+  (* Whether [a] ranks below [b]. *)
+  let below (_, ca, va) (_, cb, vb) = ca < cb || (ca = cb && va < vb) in
+  let swap i j =
+    let x = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- x
+  in
+  let rec sift_down i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let m = if l + 1 < n && below heap.(l + 1) heap.(l) then l + 1 else l in
+      if below heap.(m) heap.(i) then begin
+        swap i m;
+        sift_down m n
+      end
+    end
+  in
+  let rec sift_up i =
+    let p = (i - 1) / 2 in
+    if i > 0 && below heap.(i) heap.(p) then begin
+      swap i p;
+      sift_up p
+    end
+  in
+  let visit = ref 0 in
+  Int_table.iter
+    (fun code c ->
+      if c >= 2 then begin
+        if !size < Array.length heap then begin
+          heap.(!size) <- (code, c, !visit);
+          incr size;
+          sift_up (!size - 1)
+        end
+        (* A later visit outranks every earlier one of equal count. *)
+        else if !size > 0 && not (below (code, c, !visit) heap.(0)) then begin
+          heap.(0) <- (code, c, !visit);
+          sift_down 0 !size
+        end
+      end;
+      incr visit)
+    freqs;
+  (* Heapsort: move the lowest-ranked to the back, best first remains. *)
+  for n = !size - 1 downto 1 do
+    swap 0 n;
+    sift_down 0 n
+  done;
+  Array.sub heap 0 !size
+
 (* The histogram over the sample's non-NULL values outside [mcv], each
    mapped through [value]: [size] such values fill an array, which
    [Histogram.build] sorts. *)
@@ -135,15 +191,11 @@ let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
   let distinct_exact = Float.max 1.0 (float_of_int (Storage.Column.distinct_count column)) in
 
   (* MCVs: codes seen at least twice in the sample, most frequent first. *)
-  let pairs = Int_table.fold (fun code c acc -> (code, c) :: acc) freqs [] in
-  let pairs = List.filter (fun (_, c) -> c >= 2) pairs in
-  let pairs = List.sort (fun (_, a) (_, b) -> compare b a) pairs in
-  let top = List.filteri (fun i _ -> i < mcv_entries) pairs in
+  let top = top_frequencies freqs mcv_entries in
   let mcv =
-    Array.of_list
-      (List.map
-         (fun (code, c) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
-         top)
+    Array.map
+      (fun (code, c, _) -> (code, float_of_int c /. float_of_int (max 1 sample_size)))
+      top
   in
 
   (* Histogram over the non-MCV part of the sample, in rank space: the
@@ -151,7 +203,7 @@ let build table ~col ~sample_rows ?(buckets = 100) ?(mcv_entries = 100) () =
      read it, so a string column's, and its rank translation, wait for
      the first one; the deferred build rescans the sample and keeps
      nothing of this pass but the MCVs. *)
-  let size = List.fold_left (fun acc (_, c) -> acc - c) non_null top in
+  let size = Array.fold_left (fun acc (_, c, _) -> acc - c) non_null top in
   let histogram_cell, ranks_cell =
     match (Storage.Column.dict column, dense) with
     | Some dict, _ ->

@@ -257,24 +257,25 @@ let is_connected t s =
     !reached = s
   end
 
+let flip e =
+  {
+    left = e.right;
+    left_col = e.right_col;
+    right = e.left;
+    right_col = e.left_col;
+    pk_side =
+      (match e.pk_side with
+      | Some `Left -> Some `Right
+      | Some `Right -> Some `Left
+      | None -> None);
+  }
+
 let edges_between t s1 s2 =
   assert (Bitset.disjoint s1 s2);
   List.filter_map
     (fun e ->
       if Bitset.mem e.left s1 && Bitset.mem e.right s2 then Some e
-      else if Bitset.mem e.left s2 && Bitset.mem e.right s1 then
-        Some
-          {
-            left = e.right;
-            left_col = e.right_col;
-            right = e.left;
-            right_col = e.left_col;
-            pk_side =
-              (match e.pk_side with
-              | Some `Left -> Some `Right
-              | Some `Right -> Some `Left
-              | None -> None);
-          }
+      else if Bitset.mem e.left s2 && Bitset.mem e.right s1 then Some (flip e)
       else None)
     t.edges
 

@@ -45,6 +45,9 @@ val neighbors : t -> Util.Bitset.t -> Util.Bitset.t
 val is_connected : t -> Util.Bitset.t -> bool
 (** O(|S|) BFS with bit tricks; true for singletons, false for empty. *)
 
+val flip : edge -> edge
+(** The same edge with its sides swapped. *)
+
 val edges_between : t -> Util.Bitset.t -> Util.Bitset.t -> edge list
 (** Join edges with one endpoint in each (disjoint) subset, oriented so
     that [left] lies in the first subset. *)

@@ -334,6 +334,53 @@ let test_group_table_migration () =
   su.(0) <- max_int;
   Alcotest.(check (float 0.0)) "wide value found" 2.0 (GT.find_scratch u)
 
+(* A table's groups by id (key and count), then each probe's group id
+   and multiplicity, as text. *)
+let snapshot t probes =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "packed=%b groups=%d\n" (GT.is_packed t) (GT.groups t);
+  for id = 0 to GT.groups t - 1 do
+    Printf.bprintf b "%d: (%d, %d) %h\n" id (GT.component t id 0) (GT.component t id 1)
+      (GT.count t id)
+  done;
+  List.iter
+    (fun (a, c) ->
+      let m = find t a c in
+      Printf.bprintf b "find (%d, %d) = %d, %h\n" a c (GT.find t) m)
+    probes;
+  Buffer.contents b
+
+let test_group_table_clear () =
+  let fill t keys = List.iter (fun (a, c, delta) -> add t a c delta) keys in
+  let small = [ (1, 2, 1.0); (3, 4, 2.0); (1, 2, 0.5); (null, 7, 4.0); (0, 7, 8.0) ] in
+  let many = List.init 300 (fun i -> (i, 2 * i, 1.0)) in
+  let misfit = [ (-5, 3, 2.5) ] in
+  let probes = [ (1, 2); (3, 4); (null, 7); (0, 7); (9, 9); (-5, 3); (299, 598) ] in
+  (* Clear [t], refill it with [keys], and compare with a fresh table. *)
+  let refill what t keys =
+    GT.clear t;
+    fill t keys;
+    let fresh = GT.create ~arity:2 () in
+    fill fresh keys;
+    Alcotest.(check string) what (snapshot fresh probes) (snapshot t probes)
+  in
+  let t = GT.create ~arity:2 () in
+  fill t many;
+  (* 300 groups fill most slots: the clear resets the whole slot array. *)
+  refill "packed, cleared after many groups" t small;
+  (* Four groups in a grown table: the clear empties their slots only.
+     Refilled in reverse, each old key comes back under another id, so
+     a slot left behind would be found again. *)
+  refill "packed, cleared after few groups" t (List.rev small @ many);
+  fill t misfit;
+  Alcotest.(check bool) "migrated to the arena" false (GT.is_packed t);
+  refill "cleared after migrating with many groups" t (small @ misfit);
+  Alcotest.(check bool) "a misfit migrates the cleared table again" false (GT.is_packed t);
+  refill "cleared after migrating with few groups" t (misfit @ List.rev small);
+  refill "cleared after few groups in the arena" t small;
+  Alcotest.(check bool) "packed again" true (GT.is_packed t);
+  refill "cleared twice" t (many @ misfit @ small)
+
 
 (* Every physical encoding, forced across the whole catalog, must leave
    all 113 query results byte-identical to the flat reference layout:
@@ -381,6 +428,7 @@ let suite =
     Alcotest.test_case "packed key round-trips" `Quick test_packed_roundtrip;
     Alcotest.test_case "group table operations" `Quick test_group_table_ops;
     Alcotest.test_case "group table migration" `Quick test_group_table_migration;
+    Alcotest.test_case "group table clear" `Quick test_group_table_clear;
     Alcotest.test_case "selection vectors match row closures" `Slow
       test_selector_matches_compile;
     Alcotest.test_case "full workload matches pre-change goldens" `Slow
