@@ -208,10 +208,6 @@ let find t =
   end
   else t.slots.(locate_arena t)
 
-let find_scratch t =
-  let id = find t in
-  if id < 0 then 0.0 else t.counts.(id)
-
 let add_scratch t delta =
   maybe_grow t;
   let k = if t.packed then pack_scratch t else -1 in

@@ -2,7 +2,7 @@
     multiplicities — the aggregation kernel behind {!True_card}.
 
     Probes allocate nothing: the caller fills the table's reusable
-    {!scratch} key and calls {!add_scratch} / {!find_scratch}. Keys of
+    {!scratch} key and calls {!add_scratch} / {!find}. Keys of
     arity <= 2 are packed into a single non-negative int; the first
     value that does not fit migrates the table to an interning arena
     (flat [int array], one slice per distinct key). Groups are numbered
@@ -22,20 +22,16 @@ val groups : t -> int
 val scratch : t -> int array
 (** The table's reusable key buffer, of length [max 1 arity]. Fill
     components [0 .. arity-1] before calling {!add_scratch} or
-    {!find_scratch}. Never retained by the table. *)
+    {!find}. Never retained by the table. *)
 
 val add_scratch : t -> float -> unit
 (** Add [delta] to the multiplicity of the scratch key (inserting it
     with multiplicity [delta] when absent). *)
 
-val find_scratch : t -> float
-(** Multiplicity of the scratch key, 0.0 when absent (multiplicities
-    are strictly positive by construction). *)
-
 val find : t -> int
-(** Group id of the scratch key, -1 when absent. Unlike
-    {!find_scratch} it returns no float, so a caller's loop reading
-    {!count} boxes nothing. *)
+(** Group id of the scratch key, -1 when absent. A group id rather than
+    a multiplicity, so a caller's loop reading {!count} boxes no float
+    (multiplicities are strictly positive by construction). *)
 
 val count : t -> int -> float
 (** Multiplicity of group [id], [0 <= id < groups t]. *)

@@ -47,6 +47,10 @@ let true_card_matches_brute_force_cyclic =
 module Reference = struct
   module GT = Cardest.Group_table
 
+  let find_scratch t =
+    let id = GT.find t in
+    if id < 0 then 0.0 else GT.count t id
+
   (* ------------------------------------------------------------------ *)
   (* Join-attribute equivalence classes                                  *)
 
@@ -332,7 +336,7 @@ module Reference = struct
         (fun (pos, msg) ->
           if !w > 0.0 then begin
             extract g id pos (GT.scratch msg);
-            w := !w *. GT.find_scratch msg
+            w := !w *. find_scratch msg
           end)
         child_info;
       !w
