@@ -72,32 +72,22 @@ let base_compressed graph r =
   let nrows = Storage.Table.row_count table in
   let chunk = 4096 in
   let sel = Array.make chunk 0 in
-  (* Per-class chunk views: flat columns are read in place (offset 0);
-     compressed columns decode the current chunk into scratch, with the
-     chunk start as the offset. Row [r]'s code is [arrs.(f).(r - offs.(f))]. *)
-  let flat = Array.map Storage.Column.flat_view cols in
-  let arrs =
-    Array.map (function Some a -> a | None -> Array.make chunk 0) flat
-  in
-  let offs = Array.make (max nfields 1) 0 in
+  (* Per-class chunk views: each column decodes the current chunk into
+     scratch, so row [r]'s code is [arrs.(f).(r - start)]. *)
+  let arrs = Array.map (fun _ -> Array.make chunk 0) cols in
   let row = ref 0 in
   while !row < nrows do
-    let stop = min nrows (!row + chunk) in
+    let start = !row in
+    let stop = min nrows (start + chunk) in
     for f = 0 to nfields - 1 do
-      if flat.(f) = None then begin
-        Storage.Column.decode_into cols.(f) ~row_start:!row ~len:(stop - !row)
-          arrs.(f);
-        offs.(f) <- !row
-      end
+      Storage.Column.decode_into cols.(f) ~row_start:start ~len:(stop - start)
+        arrs.(f)
     done;
-    let m = fill sel !row stop in
+    let m = fill sel start stop in
     for k = 0 to m - 1 do
-      let r = Array.unsafe_get sel k in
+      let r = Array.unsafe_get sel k - start in
       for f = 0 to nfields - 1 do
-        Array.unsafe_set key f
-          (Array.unsafe_get
-             (Array.unsafe_get arrs f)
-             (r - Array.unsafe_get offs f))
+        Array.unsafe_set key f (Array.unsafe_get (Array.unsafe_get arrs f) r)
       done;
       GT.add_scratch groups 1.0
     done;
@@ -118,15 +108,22 @@ let base_compressed graph r =
    overwrites for its own members only. *)
 type work = {
   first : int array;
-  rel_of : int array;  (** relation of each slot *)
   emask : int array;  (** per edge, in [QG.edges] order: its two relations *)
   eleft : int array;  (** per edge: slot of the left column *)
   eright : int array;
   parent : int array;  (** union-find over slots *)
   class_of_root : int array;
   label : int array;
-      (** class of a slot within the subset, or -1: the column no inside
-          edge uses, or not the relation's first column of its class *)
+      (** class of a slot within the subset, or -1 when no inside edge
+          uses the column *)
+  nullf : int array array;
+      (** per relation, per base group: the key positions holding NULL,
+          as bits; empty when no key position does *)
+  lmask : int array;  (** per relation: its labelled key positions, as bits *)
+  dups : int array array;
+      (** per relation: flattened pairs of key positions, a column and
+          the first column of the relation in the same class; usually
+          empty *)
   cmask : int array;  (** per relation: its classes, as bits *)
   order : int array;  (** join-tree nodes in the order Prim adds them *)
   tparent : int array;  (** per relation: its join-tree parent *)
@@ -137,6 +134,21 @@ type work = {
       (** free message tables by arity, for one [compute] call *)
 }
 
+let null_fields b =
+  let mask id =
+    let m = ref 0 in
+    for f = 0 to Array.length b.classes - 1 do
+      if GT.component b.groups id f = Storage.Value.null_code then m := !m lor (1 lsl f)
+    done;
+    !m
+  in
+  let n = GT.groups b.groups in
+  let id = ref 0 in
+  while !id < n && mask !id = 0 do
+    incr id
+  done;
+  if !id = n then [||] else Array.init n mask
+
 let make_work graph (base : compressed array) =
   let n = QG.n_relations graph in
   let first = Array.make (n + 1) 0 in
@@ -144,23 +156,21 @@ let make_work graph (base : compressed array) =
     first.(r + 1) <- first.(r) + Array.length base.(r).classes
   done;
   let slots = first.(n) in
-  let rel_of = Array.make slots 0 in
-  for r = 0 to n - 1 do
-    Array.fill rel_of first.(r) (first.(r + 1) - first.(r)) r
-  done;
   let slot r col = first.(r) + Option.get (Array.find_index (( = ) col) base.(r).classes) in
   let edges = Array.of_list (QG.edges graph) in
   let dummy = GT.create ~arity:0 ~expected:1 () in
   let widest = Array.fold_left (fun acc b -> max acc (Array.length b.classes)) 0 base in
   {
     first;
-    rel_of;
     emask = Array.map (fun (e : QG.edge) -> Bitset.of_list [ e.left; e.right ]) edges;
     eleft = Array.map (fun (e : QG.edge) -> slot e.left e.left_col) edges;
     eright = Array.map (fun (e : QG.edge) -> slot e.right e.right_col) edges;
     parent = Array.make slots 0;
     class_of_root = Array.make slots 0;
     label = Array.make slots 0;
+    nullf = Array.map null_fields base;
+    lmask = Array.make n 0;
+    dups = Array.make n [||];
     cmask = Array.make n 0;
     order = Array.make n 0;
     tparent = Array.make n 0;
@@ -182,23 +192,17 @@ let rec find parent x =
 let inside w s e = Bitset.subset w.emask.(e) s
 
 (* Give the slot's class an id (numbered in order of first mention) and
-   label the slot with it, unless another column of the same relation
-   already carries that class. *)
+   label the slot with it. *)
 let mark w next x =
   let root = find w.parent x in
   if w.class_of_root.(root) < 0 then begin
     w.class_of_root.(root) <- !next;
     incr next
   end;
-  let c = w.class_of_root.(root) in
-  let r = w.rel_of.(x) in
-  let k = ref w.first.(r) in
-  while !k < w.first.(r + 1) && w.label.(!k) <> c do
-    incr k
-  done;
-  if !k = w.first.(r + 1) then w.label.(x) <- c
+  w.label.(x) <- w.class_of_root.(root)
 
-(* Label the members' slots for subset [s]; returns the class count. *)
+(* Label the members' slots for subset [s] and set each member's
+   [lmask] and [dups]; returns the class count. *)
 let classify w s =
   let m = ref s in
   while !m <> 0 do
@@ -223,6 +227,25 @@ let classify w s =
       mark w next w.eright.(e)
     end
   done;
+  let m = ref s in
+  while !m <> 0 do
+    let r = Bitset.lowest !m in
+    let lmask = ref 0 and dups = ref [] in
+    for k = w.first.(r + 1) - 1 downto w.first.(r) do
+      let c = w.label.(k) in
+      if c >= 0 then begin
+        lmask := !lmask lor (1 lsl (k - w.first.(r)));
+        let j = ref w.first.(r) in
+        while w.label.(!j) <> c do
+          incr j
+        done;
+        if !j < k then dups := (!j - w.first.(r)) :: (k - w.first.(r)) :: !dups
+      end
+    done;
+    w.lmask.(r) <- !lmask;
+    w.dups.(r) <- Array.of_list !dups;
+    m := !m land (!m - 1)
+  done;
   !next
 
 (* Each member's labelled classes, as bits. *)
@@ -239,7 +262,8 @@ let class_masks w s =
   done
 
 (* Key positions, in [r]'s base key, of the classes in [mask],
-   ascending by class: the layout of a message over those classes. *)
+   ascending by class: the layout of a message over those classes. A
+   class that labels two columns of [r] is read from the first. *)
 let positions_of w r mask =
   let pos = Array.make (Bitset.cardinal mask) 0 in
   let m = ref mask and f = ref 0 in
@@ -254,6 +278,22 @@ let positions_of w r mask =
     m := !m land (!m - 1)
   done;
   pos
+
+(* Whether group [id] of [r]'s base groups [g] can join inside the
+   subset: none of its labelled columns is NULL, which equals nothing,
+   and each column shares its value with the first column of its
+   class ([dups]). *)
+let joins w r g id =
+  let nf = w.nullf.(r) in
+  (Array.length nf = 0 || nf.(id) land w.lmask.(r) = 0)
+  &&
+  let eq = w.dups.(r) in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length eq do
+    ok := GT.component g id eq.(!i) = GT.component g id eq.(!i + 1);
+    i := !i + 2
+  done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Join trees                                                          *)
@@ -316,14 +356,16 @@ let acquire w arity =
 
 let release w t = w.pool.(GT.arity t) <- t :: w.pool.(GT.arity t)
 
-(* Multiply each group of [g] by its [n] children's messages, looked up
-   through [child_pos]; add each non-zero weight into [out] under the
-   fields [out_pos] or, at the root, into the returned sum. No closure
-   and no captured ref: the weights stay unboxed. *)
-let absorb w g n ~out ~out_pos =
+(* Multiply each group of [v]'s base groups [g] that [joins] by its [n]
+   children's messages, looked up through [child_pos]; add each non-zero
+   weight into [out] under the fields [out_pos] or, at the root, into
+   the returned sum. No closure and no captured ref: the weights stay
+   unboxed. *)
+let absorb w v g n ~out ~out_pos =
   let sum = ref 0.0 in
+  let every = Array.length w.nullf.(v) = 0 && Array.length w.dups.(v) = 0 in
   for id = 0 to GT.groups g - 1 do
-    let wt = ref (GT.count g id) in
+    let wt = ref (if every || joins w v g id then GT.count g id else 0.0) in
     let q = ref 0 in
     while !q < n && !wt > 0.0 do
       let msg = w.child_msg.(!q) in
@@ -360,11 +402,11 @@ let count_acyclic w (base : compressed array) k =
       end
     done;
     let g = base.(v).groups in
-    if j = 0 then scalar := absorb w g !n ~out:None ~out_pos:[||]
+    if j = 0 then scalar := absorb w v g !n ~out:None ~out_pos:[||]
     else begin
       let shared = Bitset.inter w.cmask.(v) w.cmask.(w.tparent.(v)) in
       let out = acquire w (Bitset.cardinal shared) in
-      ignore (absorb w g !n ~out:(Some out) ~out_pos:(positions_of w v shared));
+      ignore (absorb w v g !n ~out:(Some out) ~out_pos:(positions_of w v shared));
       w.msg.(v) <- out
     end;
     for q = 0 to !n - 1 do
@@ -472,17 +514,24 @@ let count_cyclic (local : compressed array) members =
       in
       go local.(first) (List.tl order)
 
-(* Relation [r]'s base groups projected onto the columns its subset
-   classes label, keyed by those class ids ascending. *)
+(* Relation [r]'s base groups that [joins], projected onto one column
+   per subset class, keyed by those class ids ascending. *)
 let localize w (base : compressed array) r =
   let pairs = ref [] in
   for k = w.first.(r + 1) - 1 downto w.first.(r) do
-    if w.label.(k) >= 0 then
-      pairs := (w.label.(k), base.(r).classes.(k - w.first.(r))) :: !pairs
+    if w.label.(k) >= 0 then pairs := (w.label.(k), k - w.first.(r)) :: !pairs
   done;
-  let pairs = List.sort compare !pairs in
-  let projected = project base.(r) ~onto:(Array.of_list (List.map snd pairs)) in
-  { projected with classes = Array.of_list (List.map fst pairs) }
+  let pairs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) !pairs in
+  let pos = Array.of_list (List.map snd pairs) in
+  let src = base.(r).groups in
+  let groups = GT.create ~arity:(Array.length pos) ~expected:(GT.groups src) () in
+  for id = 0 to GT.groups src - 1 do
+    if joins w r src id then begin
+      extract src id pos (GT.scratch groups);
+      GT.add_scratch groups (GT.count src id)
+    end
+  done;
+  { classes = Array.of_list (List.map fst pairs); groups }
 
 (* ------------------------------------------------------------------ *)
 

@@ -840,7 +840,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         (* Recycling applies only when the build side is a bare
            base-relation scan: then the sealed table plus the surviving
            row set is a pure function of (table, predicate, key columns,
-           encodings, bucket sizing), all captured by the cache key. *)
+           bucket sizing), all captured by the cache key. *)
         match (cache, inner.Plan.op) with
         | Some c, Plan.Scan rel -> (
             let relation = QG.relation graph rel in
@@ -852,7 +852,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
                 ~table_rows:scan_rows
                 ~pred:(Join_cache.pred_digest relation.QG.preds)
                 ~cols:(List.map (fun (e : QG.edge) -> e.QG.right_col) edges)
-                ~encoding:(Join_cache.encoding_fingerprint table)
                 ~buckets:
                   (Join_table.planned_buckets
                      ~bucket_floor:config.Engine_config.hash_bucket_floor

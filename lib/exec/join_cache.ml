@@ -15,8 +15,6 @@
    - a digest of the scan's predicate AST,
    - the ordered join-key columns (composite hashes fold columns in edge
      order, so order is semantic),
-   - an encoding fingerprint of the table's columns (recoding preserves
-     codes, but a recode mid-serve must not alias a stale byte budget),
    - the planned bucket count and resizability — buckets are sized from
      the *optimizer's estimate* (the paper's pathology), so the same
      build under a different estimate is a different physical table.
@@ -38,7 +36,6 @@ type key = {
   k_rows : int;
   k_pred : string;  (* digest of the predicate AST *)
   k_cols : int list;  (* join-key columns, in edge order *)
-  k_encoding : string;  (* fingerprint of the table's column encodings *)
   k_buckets : int;  (* Join_table.planned_buckets for this build *)
   k_resizable : bool;
 }
@@ -108,27 +105,12 @@ let pred_digest (preds : Query.Predicate.t) =
      marshaled form is a canonical serialization of the AST. *)
   Digest.to_hex (Digest.string (Marshal.to_string preds []))
 
-let encoding_fingerprint table =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (string_of_int (Storage.Table.row_count table));
-  for i = 0 to Storage.Table.column_count table - 1 do
-    let c = Storage.Table.column table i in
-    Buffer.add_char b '|';
-    Buffer.add_string b (Storage.Column.name c);
-    Buffer.add_char b ':';
-    Buffer.add_string b (Storage.Column.encoding_name (Storage.Column.encoding c));
-    Buffer.add_char b ':';
-    Buffer.add_string b (string_of_int (Storage.Column.byte_size c))
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let make_key ~table ~table_rows ~pred ~cols ~encoding ~buckets ~resizable =
+let make_key ~table ~table_rows ~pred ~cols ~buckets ~resizable =
   {
     k_table = table;
     k_rows = table_rows;
     k_pred = pred;
     k_cols = cols;
-    k_encoding = encoding;
     k_buckets = buckets;
     k_resizable = resizable;
   }

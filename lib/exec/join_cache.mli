@@ -3,9 +3,9 @@
     A budgeted, sharded cache of sealed {!Join_table}s plus the
     build-side base-table selection they were built over, keyed on
     everything the build is a pure function of: table identity,
-    predicate digest, ordered join-key columns, column-encoding
-    fingerprint, and planned bucket sizing. On a hit the executor skips
-    the build-side scan and the hash build entirely and goes probe-only
+    predicate digest, ordered join-key columns and planned bucket
+    sizing. On a hit the executor skips the build-side scan and the
+    hash build entirely and goes probe-only
     — while *replaying* the skipped simulated work charges, so results,
     work accounting, and timeout behaviour stay byte-identical to an
     uncached run. The savings is wall-clock only, which is the point.
@@ -39,17 +39,11 @@ val create : ?shards:int -> ?budget_bytes:int -> unit -> t
 val pred_digest : Query.Predicate.t -> string
 (** Canonical digest of a scan's predicate AST (atoms are pure data). *)
 
-val encoding_fingerprint : Storage.Table.t -> string
-(** Digest of the table's row count and per-column (name, encoding,
-    byte size): a recode or reload invalidates cached builds over the
-    old physical layout. *)
-
 val make_key :
   table:string ->
   table_rows:int ->
   pred:string ->
   cols:int list ->
-  encoding:string ->
   buckets:int ->
   resizable:bool ->
   key

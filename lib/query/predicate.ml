@@ -121,16 +121,14 @@ let compile table preds =
    loop tests a plain int against a constant — no closure dispatch and
    no allocation per row.
 
-   Compressed columns are decoded late: the selector decodes each
-   referenced non-flat column for the current chunk into a per-source
-   scratch buffer before running the refiners, so the inner loops always
-   index a plain [int array]. Flat columns keep a zero-copy view of the
-   whole column ([off = 0]). *)
+   Columns are decoded late: the selector decodes each referenced
+   column for the current chunk into a per-source scratch buffer before
+   running the refiners, so the inner loops always index a plain
+   [int array]. *)
 type source = {
   src_col : Storage.Column.t;
   mutable arr : int array; (* row [r]'s code is [arr.(r - off)] *)
   mutable off : int;
-  src_flat : bool;
 }
 
 (* One compaction loop per operator; [keep] must be a simple value
@@ -206,9 +204,8 @@ let kernel_of_atom table atom =
           fun source_for ->
             compact (source_for col) (fun v -> v <> null && bitmap.(v) <> negated))
   | (Or _ | Const_false) as atom ->
-      (* Row-predicate fallback. The compiled closure's only mutable
-         state is the RLE reader's run cache, which is validated before
-         use — safe (if cache-thrashy) to share across domains. *)
+      (* Row-predicate fallback. The compiled closure has no mutable
+         state, so it is safe to share across domains. *)
       let f = compile_atom table atom in
       fun _source_for sel n ->
         let m = ref 0 in
@@ -232,21 +229,14 @@ let selector_factory table preds =
       match List.assoc_opt col !sources with
       | Some s -> s
       | None ->
-          let column = Storage.Table.column table col in
           let s =
-            match Storage.Column.flat_view column with
-            | Some a -> { src_col = column; arr = a; off = 0; src_flat = true }
-            | None -> { src_col = column; arr = [||]; off = 0; src_flat = false }
+            { src_col = Storage.Table.column table col; arr = [||]; off = 0 }
           in
           sources := (col, s) :: !sources;
           s
     in
     let refiners = List.map (fun kernel -> kernel source_for) kernels in
-    let to_decode =
-      List.filter_map
-        (fun (_, s) -> if s.src_flat then None else Some s)
-        !sources
-    in
+    let sources = List.map snd !sources in
     fun sel lo hi ->
       let n = hi - lo in
       List.iter
@@ -254,7 +244,7 @@ let selector_factory table preds =
           if Array.length s.arr < n then s.arr <- Array.make (max n 4096) 0;
           Storage.Column.decode_into s.src_col ~row_start:lo ~len:n s.arr;
           s.off <- lo)
-        to_decode;
+        sources;
       for k = 0 to n - 1 do
         Array.unsafe_set sel k (lo + k)
       done;

@@ -1,35 +1,12 @@
-type encoding = Flat | Bitpack | Frame | Rle
-
-let all_encodings = [ Flat; Bitpack; Frame; Rle ]
-
-let encoding_name = function
-  | Flat -> "flat"
-  | Bitpack -> "bitpack"
-  | Frame -> "frame"
-  | Rle -> "rle"
-
-let encoding_of_name = function
-  | "flat" -> Some Flat
-  | "bitpack" -> Some Bitpack
-  | "frame" -> Some Frame
-  | "rle" -> Some Rle
-  | _ -> None
-
-(* Frame-of-reference block size; must match the executor's scan chunk so a
-   chunk decode touches at most two blocks. [lsr 12]/[land 4095] below
-   depend on this value. *)
-let block = 4096
-
 (* Widths above this cannot guarantee the read-modify-write packing trick
    (a 64-bit load at any bit offset spans the whole field: width + 7 <= 64). *)
 let max_width = 57
 
+(* Stored value [code - base + 1], 0 for NULL, in [width] bits per row;
+   a flat array only for a range that needs more than [max_width]. *)
 type repr =
   | Flat_r of int array
   | Pack_r of { bytes : Bytes.t; width : int; base : int }
-  | Frame_r of { bytes : Bytes.t; width : int; bases : int array }
-  | Rle_r of { values : int array; ends : int array }
-      (* ends.(i) = exclusive end row of run i; ends.(last) = length *)
 
 type t = {
   name : string;
@@ -84,9 +61,6 @@ type stats = {
   s_nulls : int;
   s_distinct : int;
   s_lo_hi : (int * int) option;
-  s_runs : int;
-  s_bases : int array; (* per-block min non-NULL code (0 for all-NULL blocks) *)
-  s_max_delta : int option; (* max per-block (max - min); None if too wide *)
 }
 
 (* The direct-addressing bound shared by the dense kernels: at most
@@ -126,62 +100,24 @@ let count_distinct codes lo_hi =
           Hashtbl.length seen)
 
 let scan_stats codes =
-  let n = Array.length codes in
   let nulls = ref 0 in
   let found = ref false in
   let lo = ref 0 and hi = ref 0 in
-  let runs = ref (if n = 0 then 0 else 1) in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length codes - 1 do
     let c = Array.unsafe_get codes i in
     if c = Value.null_code then incr nulls
+    else if not !found then begin
+      found := true;
+      lo := c;
+      hi := c
+    end
     else begin
-      if not !found then begin
-        found := true;
-        lo := c;
-        hi := c
-      end
-      else begin
-        if c < !lo then lo := c;
-        if c > !hi then hi := c
-      end
-    end;
-    if i > 0 && c <> Array.unsafe_get codes (i - 1) then incr runs
+      if c < !lo then lo := c;
+      if c > !hi then hi := c
+    end
   done;
   let lo_hi = if !found then Some (!lo, !hi) else None in
-  let too_wide = match lo_hi with Some (l, h) -> range_too_wide l h | None -> false in
-  let nblocks = (n + block - 1) / block in
-  let bases = Array.make (max nblocks 1) 0 in
-  let max_delta = ref 0 in
-  if not too_wide then
-    for b = 0 to nblocks - 1 do
-      let blo = ref 0 and bhi = ref 0 and bfound = ref false in
-      let stop = min n ((b * block) + block) - 1 in
-      for i = b * block to stop do
-        let c = Array.unsafe_get codes i in
-        if c <> Value.null_code then
-          if not !bfound then begin
-            bfound := true;
-            blo := c;
-            bhi := c
-          end
-          else begin
-            if c < !blo then blo := c;
-            if c > !bhi then bhi := c
-          end
-      done;
-      if !bfound then begin
-        bases.(b) <- !blo;
-        if !bhi - !blo > !max_delta then max_delta := !bhi - !blo
-      end
-    done;
-  {
-    s_nulls = !nulls;
-    s_distinct = count_distinct codes lo_hi;
-    s_lo_hi = lo_hi;
-    s_runs = !runs;
-    s_bases = (if nblocks = 0 then [||] else Array.sub bases 0 nblocks);
-    s_max_delta = (if too_wide then None else Some !max_delta);
-  }
+  { s_nulls = !nulls; s_distinct = count_distinct codes lo_hi; s_lo_hi = lo_hi }
 
 let build_pack codes ~base ~width =
   let n = Array.length codes in
@@ -191,101 +127,22 @@ let build_pack codes ~base ~width =
   in
   Pack_r { bytes = pack ~width ~f n; width; base }
 
-let build_frame codes ~bases ~width =
-  let n = Array.length codes in
-  let f i =
-    let c = Array.unsafe_get codes i in
-    if c = Value.null_code then 0 else c - bases.(i / block) + 1
-  in
-  Frame_r { bytes = pack ~width ~f n; width; bases }
-
-let build_rle codes ~runs =
-  let values = Array.make runs 0 and ends = Array.make runs 0 in
-  let r = ref (-1) in
-  Array.iteri
-    (fun i c ->
-      if !r < 0 || c <> values.(!r) then begin
-        incr r;
-        values.(!r) <- c
-      end;
-      ends.(!r) <- i + 1)
-    codes;
-  Rle_r { values; ends }
-
-(* Width of stored values under global bit-packing: range + 1 for the
-   in-band NULL zero. Returns None when the range cannot be packed. *)
-let pack_width stats =
-  match (stats.s_lo_hi, stats.s_max_delta) with
-  | None, _ -> Some 1 (* all NULL: every stored value is 0 *)
-  | Some _, None -> None
-  | Some (lo, hi), Some _ -> Some (bits_needed (hi - lo + 1))
-
-let frame_width stats =
-  match stats.s_max_delta with
-  | None -> None
-  | Some d -> Some (bits_needed (d + 1))
-
-(* Pick the smallest estimated payload. RLE additionally requires an
-   average run length of >= 4 so random access (binary search over run
-   ends) stays off genuinely unclustered columns. *)
-(* The chooser minimizes bytes, but not blindly: bitpack's random
-   access is within ~10% of a flat array read, while frame pays an
-   extra per-block base lookup and RLE a binary search — so frame and
-   RLE must beat the cheaper encoding by a real margin (25% for frame,
-   4x for RLE) before the chooser trades access speed for bytes.
-   Without the margin the chooser picks frame for sorted FK join
-   columns that bitpack compresses almost as well, and every probe in
-   a join-heavy query pays for a handful of saved kilobytes. *)
-let choose n stats =
-  if n = 0 then Flat
-  else begin
-    let best = ref Flat and best_bytes = ref (n * 8) in
-    let consider ?(margin = 1.0) enc bytes =
-      if float_of_int bytes *. margin < float_of_int !best_bytes then begin
-        best := enc;
-        best_bytes := bytes
-      end
-    in
-    (match pack_width stats with
-    | Some w when w <= max_width -> consider Bitpack (packed_bytes n w)
-    | _ -> ());
-    (match frame_width stats with
-    | Some w when w <= max_width ->
-        consider ~margin:(4.0 /. 3.0) Frame
-          (packed_bytes n w + (8 * Array.length stats.s_bases))
-    | _ -> ());
-    if stats.s_runs * 4 <= n then consider ~margin:4.0 Rle (stats.s_runs * 16);
-    !best
-  end
-
-let build_repr codes stats = function
-  | Flat -> Flat_r codes
-  | Bitpack -> (
-      match pack_width stats with
-      | Some w when w <= max_width ->
-          let base = match stats.s_lo_hi with Some (lo, _) -> lo | None -> 0 in
-          build_pack codes ~base ~width:w
-      | _ -> Flat_r codes)
-  | Frame -> (
-      match frame_width stats with
-      | Some w when w <= max_width ->
-          build_frame codes ~bases:stats.s_bases ~width:w
-      | _ -> Flat_r codes)
-  | Rle ->
-      if Array.length codes = 0 then Flat_r codes
-      else build_rle codes ~runs:stats.s_runs
+(* Width is range + 1 for the in-band NULL zero; an all-NULL column
+   stores only zeros. *)
+let build_repr codes = function
+  | None -> build_pack codes ~base:0 ~width:1
+  | Some (lo, hi) when range_too_wide lo hi -> Flat_r codes
+  | Some (lo, hi) -> build_pack codes ~base:lo ~width:(bits_needed (hi - lo + 1))
 
 (* [codes] must be freshly allocated: Flat_r takes ownership. *)
-let make ~name ~ty ~dict ?force codes =
-  let n = Array.length codes in
+let make ~name ~ty ~dict codes =
   let stats = scan_stats codes in
-  let enc = match force with Some e -> e | None -> choose n stats in
   {
     name;
     ty;
     dict;
-    length = n;
-    repr = build_repr codes stats enc;
+    length = Array.length codes;
+    repr = build_repr codes stats.s_lo_hi;
     distinct = stats.s_distinct;
     nulls = stats.s_nulls;
     lo_hi = stats.s_lo_hi;
@@ -322,23 +179,7 @@ let ty t = t.ty
 let dict t = t.dict
 let length t = t.length
 
-let encoding t =
-  match t.repr with
-  | Flat_r _ -> Flat
-  | Pack_r _ -> Bitpack
-  | Frame_r _ -> Frame
-  | Rle_r _ -> Rle
-
 (* ---------- row access ---------- *)
-
-(* First run covering [row]: smallest i with ends.(i) > row. *)
-let rle_find ends row =
-  let lo = ref 0 and hi = ref (Array.length ends - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get ends mid > row then hi := mid else lo := mid + 1
-  done;
-  !lo
 
 let get_unchecked t row =
   match t.repr with
@@ -346,11 +187,6 @@ let get_unchecked t row =
   | Pack_r { bytes; width; base } ->
       let s = unpack bytes width (mask_of width) row in
       if s = 0 then Value.null_code else base + s - 1
-  | Frame_r { bytes; width; bases } ->
-      let s = unpack bytes width (mask_of width) row in
-      if s = 0 then Value.null_code
-      else Array.unsafe_get bases (row / block) + s - 1
-  | Rle_r { values; ends } -> Array.unsafe_get values (rle_find ends row)
 
 let get t row =
   if row < 0 || row >= t.length then
@@ -367,45 +203,6 @@ let reader t =
       fun row ->
         let s = unpack bytes width mask row in
         if s = 0 then Value.null_code else base + s - 1
-  | Frame_r { bytes; width; bases } ->
-      let mask = mask_of width in
-      fun row ->
-        let s = unpack bytes width mask row in
-        if s = 0 then Value.null_code
-        else Array.unsafe_get bases (row / block) + s - 1
-  | Rle_r { values; ends } ->
-      (* Executor hot loops walk rows mostly in order, so each reader
-         closure caches its last run and tries it (then its successor)
-         before falling back to the binary search: O(1) amortized on
-         sequential scans, O(log runs) on genuinely random probes. The
-         cache affects only speed, never the value returned. *)
-      let last = ref 0 in
-      let nruns = Array.length ends in
-      fun row ->
-        let r = !last in
-        let lo = if r = 0 then 0 else Array.unsafe_get ends (r - 1) in
-        if row >= lo then
-          if row < Array.unsafe_get ends r then Array.unsafe_get values r
-          else if
-            r + 1 < nruns
-            && row >= Array.unsafe_get ends r
-            && row < Array.unsafe_get ends (r + 1)
-          then begin
-            last := r + 1;
-            Array.unsafe_get values (r + 1)
-          end
-          else begin
-            let r = rle_find ends row in
-            last := r;
-            Array.unsafe_get values r
-          end
-        else begin
-          let r = rle_find ends row in
-          last := r;
-          Array.unsafe_get values r
-        end
-
-let flat_view t = match t.repr with Flat_r a -> Some a | _ -> None
 
 let decode_into t ~row_start ~len buf =
   if row_start < 0 || len < 0 || row_start + len > t.length then
@@ -423,50 +220,19 @@ let decode_into t ~row_start ~len buf =
         Array.unsafe_set buf i
           (if s = 0 then Value.null_code else base + s - 1)
       done
-  | Frame_r { bytes; width; bases } ->
-      let mask = mask_of width in
-      for i = 0 to len - 1 do
-        let row = row_start + i in
-        let s = unpack bytes width mask row in
-        Array.unsafe_set buf i
-          (if s = 0 then Value.null_code
-           else Array.unsafe_get bases (row / block) + s - 1)
-      done
-  | Rle_r { values; ends } ->
-      if len > 0 then begin
-        let r = ref (rle_find ends row_start) in
-        for i = 0 to len - 1 do
-          let row = row_start + i in
-          if row >= Array.unsafe_get ends !r then incr r;
-          Array.unsafe_set buf i (Array.unsafe_get values !r)
-        done
-      end
 
 let iter_codes t f =
   match t.repr with
   | Flat_r a -> Array.iter f a
-  | Pack_r _ | Frame_r _ ->
+  | Pack_r _ ->
       for row = 0 to t.length - 1 do
         f (get_unchecked t row)
       done
-  | Rle_r { values; ends } ->
-      let start = ref 0 in
-      Array.iteri
-        (fun r stop ->
-          let v = Array.unsafe_get values r in
-          for _ = !start to stop - 1 do
-            f v
-          done;
-          start := stop)
-        ends
 
 let to_codes t =
-  match t.repr with
-  | Flat_r a -> Array.copy a
-  | _ ->
-      let buf = Array.make (max t.length 1) 0 in
-      decode_into t ~row_start:0 ~len:t.length buf;
-      if t.length = Array.length buf then buf else Array.sub buf 0 t.length
+  let buf = Array.make t.length 0 in
+  decode_into t ~row_start:0 ~len:t.length buf;
+  buf
 
 let value t row =
   let code = get t row in
@@ -508,15 +274,11 @@ let take t rows =
   let codes = Array.map (fun row -> get t row) rows in
   make ~name:t.name ~ty:t.ty ~dict:t.dict codes
 
-let recode t enc = make ~name:t.name ~ty:t.ty ~dict:t.dict ~force:enc (to_codes t)
-
 (* ---------- storage accounting ---------- *)
 
 let byte_size t =
   match t.repr with
   | Flat_r a -> 8 * Array.length a
   | Pack_r { bytes; _ } -> Bytes.length bytes
-  | Frame_r { bytes; bases; _ } -> Bytes.length bytes + (8 * Array.length bases)
-  | Rle_r { values; _ } -> 16 * Array.length values
 
 let flat_byte_size t = 8 * t.length

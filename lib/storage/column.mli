@@ -1,32 +1,18 @@
-(** A single materialized column, sealed behind compressed encodings.
+(** A single materialized column, sealed behind a bit-packed layout.
 
     Integer columns hold their values directly; string columns hold
     dictionary codes. NULL is [Value.null_code] in either case at the
-    API boundary; packed physical layouts store it as an in-band 0 so
-    the sentinel never widens the bit width.
+    API boundary; the packed layout stores it as an in-band 0 so the
+    sentinel never widens the bit width.
 
-    The physical representation is chosen per column at build time from
-    observed width, clustering and run structure:
-
-    - [Flat]: one word per row (the reference layout).
-    - [Bitpack]: fixed-width codes, [value - min + 1] with 0 as NULL.
-    - [Frame]: frame-of-reference — per-4096-row-block minima plus
-      fixed-width offsets; wins on sorted or clustered columns (ids).
-    - [Rle]: run-length over codes; wins on constant or near-constant
-      columns (run starts are binary-searched on random access).
-
-    All encodings expose the same code sequence: [decode_into] and
-    [get] return exactly what the flat layout would, so query results
-    are byte-identical no matter which encoding backs a column. *)
+    Every column is bit-packed at build time: each row stores
+    [code - min + 1] (0 for NULL) in the fewest bits that hold the
+    column's range. The one exception is a column whose range needs more
+    than 57 bits (full-range ints from CSV input), which keeps one word
+    per row. Every accessor returns the code sequence the column was
+    built from, whichever of the two backs it. *)
 
 type t
-
-type encoding = Flat | Bitpack | Frame | Rle
-
-val all_encodings : encoding list
-
-val encoding_name : encoding -> string
-val encoding_of_name : string -> encoding option
 
 (** {1 Constructors} *)
 
@@ -44,11 +30,6 @@ val take : t -> int array -> t
 (** [take t rows] gathers the given rows into a fresh column sharing
     [t]'s dictionary, so codes (and compiled predicates) transfer. *)
 
-val recode : t -> encoding -> t
-(** Rebuild with the given encoding forced, bypassing the chooser.
-    Falls back to [Flat] when the data cannot satisfy the encoding's
-    width limit. Codes and dictionary are preserved exactly. *)
-
 (** {1 Shape} *)
 
 val name : t -> string
@@ -58,7 +39,6 @@ val dict : t -> Dict.t option
 (** [Some] for string columns. *)
 
 val length : t -> int
-val encoding : t -> encoding
 
 (** {1 Row access} *)
 
@@ -74,10 +54,6 @@ val reader : t -> int -> int
 (** [reader t] is a closure equivalent to [get t] with the
     representation dispatch hoisted out; for random-access hot loops
     (join keys, index probes). *)
-
-val flat_view : t -> int array option
-(** The underlying array when the column is [Flat] — a zero-copy fast
-    path for scans. Callers must not mutate it. *)
 
 val decode_into : t -> row_start:int -> len:int -> int array -> unit
 (** Decode codes for rows [row_start, row_start+len) into
@@ -124,8 +100,7 @@ val code_value : t -> int -> Value.t
 (** {1 Storage accounting} *)
 
 val byte_size : t -> int
-(** Physical bytes of the encoded payload (excluding the dictionary,
-    which is shared across encodings). *)
+(** Physical bytes of the encoded payload (excluding the dictionary). *)
 
 val flat_byte_size : t -> int
-(** Bytes the flat reference layout would use (one word per row). *)
+(** Bytes an unpacked layout would use (one word per row). *)

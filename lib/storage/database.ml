@@ -85,17 +85,3 @@ let index t ~table ~col =
 
 let total_rows t =
   Hashtbl.fold (fun _ table acc -> acc + Table.row_count table) t.tables 0
-
-let recode t enc =
-  let out = create () in
-  out.config <- t.config;
-  List.iter
-    (fun name ->
-      let table = find_table t name in
-      let cols = Array.map (fun c -> Column.recode c enc) (Table.columns table) in
-      let colname i = Column.name (Table.column table i) in
-      let pk = Option.map colname (Table.pk table) in
-      let fks = List.map colname (Table.fks table) in
-      add_table out (Table.create ~name ?pk ~fks cols))
-    (table_names t);
-  out

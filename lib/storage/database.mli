@@ -30,8 +30,3 @@ val index : t -> table:string -> col:int -> Index.t option
     (built lazily, cached forever). *)
 
 val total_rows : t -> int
-
-val recode : t -> Column.encoding -> t
-(** Fresh catalog with every column re-encoded (dictionaries and codes
-    preserved, fresh index cache, same index configuration). Used by the
-    per-encoding golden tests and the scale sweep. *)

@@ -8,19 +8,19 @@ module Bitset = Util.Bitset
 
 (* --- True_card vs brute force -------------------------------------------- *)
 
+let brute_force_law g =
+  let tc = Cardest.True_card.compute g in
+  Array.for_all
+    (fun s -> Cardest.True_card.card tc s = float_of_int (Support.brute_force_count g s))
+    (QG.connected_subsets g)
+
 let true_card_matches_brute_force =
   Support.qcheck_case ~count:40 ~name:"True_card = brute force (random acyclic queries)"
     QCheck.(pair small_int (int_range 2 4))
     (fun (seed, relations) ->
       let prng = Util.Prng.create seed in
       let db = Support.micro_db prng ~tables:relations ~rows:12 in
-      let g = Support.micro_query prng db ~relations ~extra_edges:0 in
-      let tc = Cardest.True_card.compute g in
-      Array.for_all
-        (fun s ->
-          let expected = float_of_int (Support.brute_force_count g s) in
-          Cardest.True_card.card tc s = expected)
-        (QG.connected_subsets g))
+      brute_force_law (Support.micro_query prng db ~relations ~extra_edges:0))
 
 let true_card_matches_brute_force_cyclic =
   Support.qcheck_case ~count:30 ~name:"True_card = brute force (random cyclic queries)"
@@ -28,13 +28,77 @@ let true_card_matches_brute_force_cyclic =
     (fun (seed, relations) ->
       let prng = Util.Prng.create (seed + 1000) in
       let db = Support.micro_db prng ~tables:relations ~rows:10 in
-      let g = Support.micro_query prng db ~relations ~extra_edges:3 in
-      let tc = Cardest.True_card.compute g in
-      Array.for_all
-        (fun s ->
-          let expected = float_of_int (Support.brute_force_count g s) in
-          Cardest.True_card.card tc s = expected)
-        (QG.connected_subsets g))
+      brute_force_law (Support.micro_query prng db ~relations ~extra_edges:3))
+
+(* An edge [a.left_col = b.right_col] between two micro relations. *)
+let micro_edge g a left b right =
+  let col r name = Storage.Table.column_index (QG.relation g r).QG.table name in
+  { QG.left = a; left_col = col a left; right = b; right_col = col b right; pk_side = None }
+
+(* Two columns of one relation in a class. First t0.fk1 = t1.id AND
+   t0.id = t1.id: only the rows of t0 whose fk1 equals their own id
+   join, none on seed 3; keying the class on one of t0's columns alone
+   counts 8. Then the cycle t0 - t1 - t2 - t3 - t0 over four classes,
+   where t1.fk2 = t2.fk1 puts t1.id and t1.fk2 in one class: the cyclic
+   fallback must keep that equality too (1 tuple too many on seed 7
+   without it). *)
+let test_true_card_two_columns_one_class () =
+  let check ~seed ~tables edges =
+    let prng = Util.Prng.create seed in
+    let db = Support.micro_db prng ~tables ~rows:12 in
+    let g = Support.micro_query prng db ~relations:tables ~extra_edges:0 in
+    let g =
+      QG.create ~name:"two-columns"
+        (QG.relations g)
+        (List.map (fun (a, left, b, right) -> micro_edge g a left b right) edges)
+    in
+    let tc = Cardest.True_card.compute g in
+    Array.iter
+      (fun s ->
+        Alcotest.(check (Alcotest.float 0.0))
+          (Format.asprintf "%d tables, subset %a" tables Bitset.pp s)
+          (float_of_int (Support.brute_force_count g s))
+          (Cardest.True_card.card tc s))
+      (QG.connected_subsets g)
+  in
+  check ~seed:3 ~tables:2 [ (0, "fk1", 1, "id"); (0, "id", 1, "id") ];
+  check ~seed:7 ~tables:4
+    [
+      (1, "fk0", 0, "id");
+      (2, "fk1", 1, "id");
+      (3, "fk2", 2, "id");
+      (0, "fk3", 3, "id");
+      (1, "fk2", 2, "fk1");
+    ]
+
+(* Random micro graphs, cyclic ones included, half the time with a
+   second edge between two relations a tree edge already joins, on
+   random id or foreign-key columns: two columns of one relation can
+   then share a class, and a foreign key can meet a foreign key with
+   NULLs on both sides. *)
+let true_card_matches_brute_force_second_edge =
+  Support.qcheck_case ~count:40 ~name:"True_card = brute force (second edge on a pair)"
+    QCheck.(pair small_int (int_range 2 4))
+    (fun (seed, relations) ->
+      let prng = Util.Prng.create (seed + 4000) in
+      let db = Support.micro_db prng ~tables:relations ~rows:12 in
+      let g =
+        Support.micro_query prng db ~relations ~extra_edges:(Util.Prng.int prng 3)
+      in
+      let g =
+        if Util.Prng.bool prng then g
+        else begin
+          let tree = Array.of_list (QG.edges g) in
+          let e = tree.(Util.Prng.int prng (Array.length tree)) in
+          let key r =
+            let other = Util.Prng.int prng relations in
+            if other = r then "id" else Printf.sprintf "fk%d" other
+          in
+          QG.create ~name:"micro" (QG.relations g)
+            (QG.edges g @ [ micro_edge g e.QG.left (key e.QG.left) e.QG.right (key e.QG.right) ])
+        end
+      in
+      brute_force_law g)
 
 (* --- True_card vs the reference count ---------------------------------- *)
 
@@ -184,32 +248,22 @@ module Reference = struct
     let nrows = Storage.Table.row_count table in
     let chunk = 4096 in
     let sel = Array.make chunk 0 in
-    (* Per-class chunk views: flat columns are read in place (offset 0);
-       compressed columns decode the current chunk into scratch, with the
-       chunk start as the offset. Row [r]'s code is [arrs.(f).(r - offs.(f))]. *)
-    let flat = Array.map Storage.Column.flat_view cols in
-    let arrs =
-      Array.map (function Some a -> a | None -> Array.make chunk 0) flat
-    in
-    let offs = Array.make (max nfields 1) 0 in
+    (* Per-class chunk views: each column decodes the current chunk into
+       scratch, so row [r]'s code is [arrs.(f).(r - start)]. *)
+    let arrs = Array.map (fun _ -> Array.make chunk 0) cols in
     let row = ref 0 in
     while !row < nrows do
-      let stop = min nrows (!row + chunk) in
+      let start = !row in
+      let stop = min nrows (start + chunk) in
       for f = 0 to nfields - 1 do
-        if flat.(f) = None then begin
-          Storage.Column.decode_into cols.(f) ~row_start:!row ~len:(stop - !row)
-            arrs.(f);
-          offs.(f) <- !row
-        end
+        Storage.Column.decode_into cols.(f) ~row_start:start ~len:(stop - start)
+          arrs.(f)
       done;
-      let m = fill sel !row stop in
+      let m = fill sel start stop in
       for k = 0 to m - 1 do
-        let r = Array.unsafe_get sel k in
+        let r = Array.unsafe_get sel k - start in
         for f = 0 to nfields - 1 do
-          Array.unsafe_set key f
-            (Array.unsafe_get
-               (Array.unsafe_get arrs f)
-               (r - Array.unsafe_get offs f))
+          Array.unsafe_set key f (Array.unsafe_get (Array.unsafe_get arrs f) r)
         done;
         GT.add_scratch groups 1.0
       done;
@@ -914,6 +968,9 @@ let suite =
   [
     true_card_matches_brute_force;
     true_card_matches_brute_force_cyclic;
+    true_card_matches_brute_force_second_edge;
+    Alcotest.test_case "true card: two columns of one relation in a class" `Quick
+      test_true_card_two_columns_one_class;
     true_card_matches_reference;
     true_card_matches_reference_cyclic;
     Alcotest.test_case "true card = reference on JOB" `Slow test_true_card_job_reference;

@@ -415,6 +415,121 @@ let plans_match_oracle_on_pool =
       test_staging_oracle ();
       random_inputs () )
 
+(* A column whose range no 57-bit packing holds keeps one word per row.
+   [wide.k] holds values next to [min_int] and [max_int], and NULLs; it
+   joins [narrow.x], which packs because all its values sit just below
+   [max_int]. [wide] is past two morsels, so a 2-domain pool splits its
+   scans. The query: narrow p; wide w with [k >= max_int - 10] and
+   w.k = p.x; wide w2 with k between [min_int + 1] and [min_int + 6]
+   and w2.fk = p.id. *)
+let wide_rows = (2 * 4096) + 500
+
+let wide_k r =
+  match r mod 4 with
+  | 0 -> Some (min_int + 1 + (r mod 13))
+  | 1 -> None
+  | _ -> Some (max_int - (r mod 23))
+
+let wide_input () =
+  let db = Storage.Database.create () in
+  let ints name len f = Storage.Column.of_ints ~name (Array.init len f) in
+  Storage.Database.add_table db
+    (Storage.Table.create ~name:"narrow" ~pk:"id"
+       [| ints "id" 40 (fun r -> Some (r + 1)); ints "x" 40 (fun r -> Some (max_int - (r mod 20))) |]);
+  Storage.Database.add_table db
+    (Storage.Table.create ~name:"wide" ~pk:"id" ~fks:[ "fk" ]
+       [|
+         ints "id" wide_rows (fun r -> Some (r + 1));
+         ints "k" wide_rows wide_k;
+         ints "fk" wide_rows (fun r -> Some (1 + (r mod 40)));
+       |]);
+  let rel idx alias name preds =
+    { QG.idx; alias; table = Storage.Database.find_table db name; preds }
+  in
+  let ge = Query.Predicate.Cmp { col = 1; op = Query.Predicate.Ge; code = max_int - 10 } in
+  let between = Query.Predicate.Between { col = 1; lo = min_int + 1; hi = min_int + 6 } in
+  let g =
+    QG.create ~name:"wide"
+      [| rel 0 "p" "narrow" []; rel 1 "w" "wide" [ ge ]; rel 2 "w2" "wide" [ between ] |]
+      [
+        { QG.left = 1; left_col = 1; right = 0; right_col = 1; pk_side = None };
+        { QG.left = 2; left_col = 2; right = 0; right_col = 0; pk_side = Some `Right };
+      ]
+  in
+  (db, g, ge, between)
+
+(* The wide column through every consumer: the selection-vector scan
+   against the cells, exact cardinalities and the executor (no pool and
+   a 2-domain pool, fused and materialized, then every plan shape)
+   against the brute-force COUNT and MIN. *)
+let test_wide_column () =
+  let db, g, ge, between = wide_input () in
+  let wide = Storage.Database.find_table db "wide" in
+  let layout what table col packed =
+    let c = Storage.Table.column (Storage.Database.find_table db table) col in
+    Alcotest.(check bool) what packed (Storage.Column.byte_size c < Storage.Column.flat_byte_size c)
+  in
+  layout "wide.k keeps a word per row" "wide" 1 false;
+  layout "narrow.x packs" "narrow" 1 true;
+  List.iter
+    (fun (what, pred, keep) ->
+      let fill = Query.Predicate.compile_selector wide [ pred ] in
+      let sel = Array.make 4096 0 and got = ref [] and row = ref 0 in
+      while !row < wide_rows do
+        let stop = min wide_rows (!row + 4096) in
+        let m = fill sel !row stop in
+        for i = 0 to m - 1 do
+          got := sel.(i) :: !got
+        done;
+        row := stop
+      done;
+      Alcotest.(check (list int))
+        (what ^ ": selected rows")
+        (List.filter
+           (fun r -> match wide_k r with Some v -> keep v | None -> false)
+           (List.init wide_rows Fun.id))
+        (List.rev !got))
+    [
+      ("k >= max_int - 10", ge, fun v -> v >= max_int - 10);
+      ("k between min_int + 1 and min_int + 6", between, fun v -> v >= min_int + 1 && v <= min_int + 6);
+    ];
+  let tc = Cardest.True_card.compute g in
+  Array.iter
+    (fun s ->
+      Alcotest.(check (Alcotest.float 0.0))
+        (Format.asprintf "true card of %a" Bitset.pp s)
+        (float_of_int (Support.brute_force_count g s))
+        (Cardest.True_card.card tc s))
+    (QG.connected_subsets g);
+  let projections = [ (1, 1); (2, 1); (0, 1) ] in
+  let rows, mins = Support.brute_force_mins g projections in
+  Alcotest.(check bool) "the join is not empty" true (rows > 0);
+  let expected = (rows, List.map Storage.Value.to_string mins) in
+  let plan =
+    Plan.join Plan.Hash_join
+      ~outer:(Plan.join Plan.Hash_join ~outer:(Plan.scan 1) ~inner:(Plan.scan 0))
+      ~inner:(Plan.scan 2)
+  in
+  let answer ?pool ?observe () =
+    let r =
+      Exec.Executor.run ~db ~graph:g ~config:Exec.Engine_config.robust
+        ~size_est:(fun _ -> 64.0) ?pool ?observe ~projections plan
+    in
+    (r.Exec.Executor.rows, List.map Storage.Value.to_string r.Exec.Executor.mins)
+  in
+  let observe _ ~rows:_ ~work:_ = () in
+  let check what got = Alcotest.(check (pair int (list string))) what expected got in
+  check "exec-jobs 1, fused" (answer ());
+  check "exec-jobs 1, materialized" (answer ~observe ());
+  let pool = Util.Domain_pool.create ~domains:2 in
+  Fun.protect
+    ~finally:(fun () -> Util.Domain_pool.shutdown pool)
+    (fun () ->
+      check "exec-jobs 2, fused" (answer ~pool ());
+      check "exec-jobs 2, materialized" (answer ~pool ~observe ()));
+  Alcotest.(check bool) "every plan shape matches the oracle" true
+    (oracle_holds ~seed:23 db g projections)
+
 (* The chain t0 <- t1 <- t2 over a 3-table micro database: t1.fk0 =
    t0.id and t2.fk1 = t1.id. *)
 let chain_graph db =
@@ -781,6 +896,7 @@ let suite =
       test_merge_join_costs_more_than_hash;
     Alcotest.test_case "rows match truth" `Quick test_executor_rows_match_truth;
     Alcotest.test_case "min projections" `Quick test_executor_mins;
+    Alcotest.test_case "a column too wide to pack, end to end" `Quick test_wide_column;
     Alcotest.test_case "timeout" `Quick test_executor_timeout;
     Alcotest.test_case "NL gating" `Quick test_nl_disabled_raises;
     Alcotest.test_case "INL needs index" `Quick test_inl_without_index_raises;

@@ -386,48 +386,6 @@ let test_group_table_clear () =
   Alcotest.(check bool) "packed again" true (GT.is_packed t);
   refill "cleared twice" t (many @ misfit @ small)
 
-
-(* Every physical encoding, forced across the whole catalog, must leave
-   all 113 query results byte-identical to the flat reference layout:
-   same rows, same deterministic work (identical plans), same MINs. The
-   chooser's mixed-encoding database must agree too. *)
-let test_encoding_workload () =
-  let base = Datagen.Imdb_gen.generate ~seed:5 ~scale:0.0004 () in
-  let run_all db =
-    let s = Core.Session.of_database db in
-    List.map
-      (fun (q : Workload.Job.query) ->
-        let query = Core.Session.sql s ~name:q.Workload.Job.name q.Workload.Job.sql in
-        let choice = Core.Session.optimize s query in
-        let r = Core.Session.run s query choice in
-        ( q.Workload.Job.name,
-          r.Exec.Executor.rows,
-          r.Exec.Executor.work,
-          r.Exec.Executor.timed_out,
-          List.map Storage.Value.to_string r.Exec.Executor.mins ))
-      Workload.Job.all
-  in
-  let flat = run_all (Storage.Database.recode base Storage.Column.Flat) in
-  let check_against label got =
-    List.iter2
-      (fun (name, rows, work, timed_out, mins) (gname, grows, gwork, gtimed, gmins) ->
-        let l = Printf.sprintf "%s (%s)" name label in
-        Alcotest.(check string) (l ^ " name") name gname;
-        Alcotest.(check int) (l ^ " rows") rows grows;
-        Alcotest.(check int) (l ^ " work") work gwork;
-        Alcotest.(check bool) (l ^ " timed_out") timed_out gtimed;
-        Alcotest.(check (list string)) (l ^ " mins") mins gmins)
-      flat got
-  in
-  check_against "chooser" (run_all base);
-  List.iter
-    (fun enc ->
-      if enc <> Storage.Column.Flat then
-        check_against
-          (Storage.Column.encoding_name enc)
-          (run_all (Storage.Database.recode base enc)))
-    Storage.Column.all_encodings
-
 let suite =
   [
     Alcotest.test_case "packed key round-trips" `Quick test_packed_roundtrip;
@@ -438,6 +396,4 @@ let suite =
       test_selector_matches_compile;
     Alcotest.test_case "full workload matches pre-change goldens" `Slow
       test_golden_workload;
-    Alcotest.test_case "full workload byte-identical under every encoding" `Slow
-      test_encoding_workload;
   ]

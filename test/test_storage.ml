@@ -212,85 +212,93 @@ let column_value_roundtrip =
       end)
 
 
-(* --- Compressed encodings ------------------------------------------------ *)
+(* --- Columns against their input ---------------------------------------- *)
 
 module C = Storage.Column
 
-(* Every encoding must expose the exact code sequence of the flat
-   reference: same [get]/[reader]/[to_codes]/[iter_codes], same chunked
+let null = Storage.Value.null_code
+
+(* Codes an int column must hold, worked out from its cells. *)
+let int_codes cells = Array.of_list (List.map (Option.value ~default:null) cells)
+
+(* A dictionary codes the distinct strings 0, 1, ... in first-seen
+   order. *)
+let string_codes cells =
+  let seen = Hashtbl.create 16 in
+  Array.of_list
+    (List.map
+       (function
+         | None -> null
+         | Some s -> (
+             match Hashtbl.find_opt seen s with
+             | Some c -> c
+             | None ->
+                 let c = Hashtbl.length seen in
+                 Hashtbl.add seen s c;
+                 c))
+       cells)
+
+(* Every accessor must return [codes], the codes the column was built
+   from: [get], [reader], [to_codes], [iter_codes] and chunked
    [decode_into] at awkward boundaries. The cached statistics must equal
-   [expect] = (distinct, nulls, min/max), computed from the cells
-   themselves rather than by [Column]'s statistics pass. *)
-let encoding_roundtrip_law ~expect column =
-  let reference = C.to_codes column in
-  let n = Array.length reference in
-  let stats c = (C.distinct_count c, C.null_count c, C.min_max c) in
-  stats column = expect
-  && List.for_all
-    (fun enc ->
-      let r = C.recode column enc in
-      let indices = Array.init n (fun i -> i) in
-      let chunks_ok =
-        let buf = Array.make (max n 1) 0 in
-        let ok = ref true in
-        let lo = ref 0 in
-        let step = max 1 (n / 3) in
+   (distinct, nulls, min/max) of [codes], not the column's own
+   statistics pass. *)
+let column_law codes column =
+  let n = Array.length codes in
+  let values = List.sort_uniq compare (List.filter (( <> ) null) (Array.to_list codes)) in
+  let expect =
+    ( List.length values,
+      Array.fold_left (fun k c -> if c = null then k + 1 else k) 0 codes,
+      match values with [] -> None | lo :: _ -> Some (lo, List.nth values (List.length values - 1)) )
+  in
+  let indices = Array.init n Fun.id in
+  let chunks_ok =
+    List.for_all
+      (fun step ->
+        let buf = Array.make step 0 in
+        let ok = ref true and lo = ref 0 in
         while !lo < n do
           let len = min step (n - !lo) in
-          C.decode_into r ~row_start:!lo ~len buf;
+          C.decode_into column ~row_start:!lo ~len buf;
           for i = 0 to len - 1 do
-            if buf.(i) <> reference.(!lo + i) then ok := false
+            if buf.(i) <> codes.(!lo + i) then ok := false
           done;
           lo := !lo + len
         done;
-        !ok
-      in
-      let iter_ok =
-        let got = ref [] in
-        C.iter_codes r (fun v -> got := v :: !got);
-        Array.of_list (List.rev !got) = reference
-      in
-      C.length r = n
-      && C.to_codes r = reference
-      && Array.for_all (fun i -> C.get r i = reference.(i)) indices
-      && (let read = C.reader r in
-          Array.for_all (fun i -> read i = reference.(i)) indices)
-      && chunks_ok && iter_ok
-      && stats r = expect)
-    C.all_encodings
+        !ok)
+      [ 1; 3; max 1 (n / 3); max 1 n ]
+  in
+  let iter_ok =
+    let got = ref [] in
+    C.iter_codes column (fun v -> got := v :: !got);
+    Array.of_list (List.rev !got) = codes
+  in
+  C.length column = n
+  && C.to_codes column = codes
+  && Array.for_all (fun i -> C.get column i = codes.(i)) indices
+  && (let read = C.reader column in
+      Array.for_all (fun i -> read i = codes.(i)) indices)
+  && chunks_ok && iter_ok
+  && (C.distinct_count column, C.null_count column, C.min_max column) = expect
 
 let int_column_of cells = C.of_ints ~name:"x" (Array.of_list cells)
 
-let distinct_cells cells = List.sort_uniq compare (List.filter_map Fun.id cells)
-let null_cells cells = List.length (List.filter Option.is_none cells)
+let int_roundtrip cells = column_law (int_codes cells) (int_column_of cells)
 
-(* (distinct, nulls, min/max) of a cell list, computed from the cells. *)
-let int_expect cells =
-  let values = distinct_cells cells in
-  let d = List.length values in
-  (d, null_cells cells, match values with [] -> None | lo :: _ -> Some (lo, List.nth values (d - 1)))
-
-(* A dictionary codes the distinct strings 0, 1, ... in first-seen
-   order, so a string column's code range is [0, distinct - 1]. *)
-let string_expect cells =
-  let d = List.length (distinct_cells cells) in
-  (d, null_cells cells, if d = 0 then None else Some (0, d - 1))
-
-let int_roundtrip cells =
-  encoding_roundtrip_law ~expect:(int_expect cells) (int_column_of cells)
-
+(* Full-range ints: almost every list with two values needs more than
+   57 bits and takes the flat fallback. *)
 let encoding_roundtrip_random =
   Support.qcheck_case ~name:"encodings roundtrip on random int columns"
     QCheck.(small_list (option int))
     int_roundtrip
 
 let encoding_roundtrip_sorted =
-  Support.qcheck_case ~name:"encodings roundtrip on sorted columns (frame)"
+  Support.qcheck_case ~name:"encodings roundtrip on sorted columns"
     QCheck.(small_list (option small_int))
     (fun cells -> int_roundtrip (List.sort compare cells))
 
 let encoding_roundtrip_runs =
-  Support.qcheck_case ~name:"encodings roundtrip on run-heavy columns (rle)"
+  Support.qcheck_case ~name:"encodings roundtrip on run-heavy columns"
     QCheck.(small_list (pair (option (int_bound 5)) (int_bound 6)))
     (fun pairs ->
       let cells = List.concat_map (fun (v, k) -> List.init (k + 1) (fun _ -> v)) pairs in
@@ -301,46 +309,69 @@ let encoding_roundtrip_strings =
     QCheck.(small_list (option (string_of_size (QCheck.Gen.int_range 0 6))))
     (fun cells ->
       let column = C.of_strings ~name:"s" (Array.of_list cells) in
-      encoding_roundtrip_law ~expect:(string_expect cells) column
-      && List.for_all
-           (fun enc ->
-             (* The dictionary is shared, so string decode survives. *)
-             let r = C.recode column enc in
-             List.for_all
-               (fun i -> C.value r i = C.value column i)
-               (List.init (C.length column) (fun i -> i)))
-           C.all_encodings)
+      column_law (string_codes cells) column
+      && List.for_all2
+           (fun cell i ->
+             match (cell, C.value column i) with
+             | None, Storage.Value.Null -> true
+             | Some s, Storage.Value.Str v -> String.equal s v
+             | _ -> false)
+           cells
+           (List.init (C.length column) Fun.id))
 
-let test_encoding_chooser () =
-  (* Sorted dense ids: small per-block deltas, so frame-of-reference (or
-     bit-packing) wins and random access still decodes exactly. *)
+(* Constant, all-NULL and empty columns, at sizes on both sides of a
+   byte and of a 4096-row chunk. *)
+let test_column_edge_shapes () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (what, cells) ->
+          if not (int_roundtrip cells) then Alcotest.failf "%s, %d rows" what n;
+          let strings = List.map (Option.map string_of_int) cells in
+          if not (column_law (string_codes strings) (C.of_strings ~name:"s" (Array.of_list strings)))
+          then Alcotest.failf "%s strings, %d rows" what n)
+        [
+          ("constant", List.init n (fun _ -> Some 7));
+          ("constant negative", List.init n (fun _ -> Some (-3)));
+          ("all-NULL", List.init n (fun _ -> None));
+        ])
+    [ 0; 1; 7; 9; 4095; 4097 ];
+  Alcotest.(check bool) "empty of_codes" true
+    (column_law [||] (C.of_codes ~name:"e" ~ty:Storage.Value.Int_ty [||]))
+
+(* Narrow columns pack; only a range wider than 57 bits keeps a word
+   per row. *)
+let test_column_layout () =
   let ids = C.of_ints ~name:"id" (Array.init 20_000 (fun i -> Some (i + 1))) in
-  Alcotest.(check bool)
-    (Printf.sprintf "ids compressed (%s)" (C.encoding_name (C.encoding ids)))
-    true
-    (C.encoding ids <> C.Flat && C.byte_size ids * 4 <= C.flat_byte_size ids);
+  Alcotest.(check bool) "ids pack >= 4x" true (C.byte_size ids * 4 <= C.flat_byte_size ids);
   check Alcotest.int "ids decode intact" 12_345 (C.get ids 12_344);
-  (* A narrow dictionary column packs to a few bits per row: >= 2x is the
-     acceptance floor, 8x the actual expectation at width <= 8. *)
   let strs =
     C.of_strings ~name:"kind"
       (Array.init 8_192 (fun i ->
            if i mod 97 = 0 then None
            else Some [| "movie"; "tv"; "video" |].(i mod 3)))
   in
-  Alcotest.(check bool) "dictionary column >= 2x compression" true
-    (2 * C.byte_size strs <= C.flat_byte_size strs);
+  Alcotest.(check bool) "dictionary column >= 8x" true
+    (8 * C.byte_size strs <= C.flat_byte_size strs);
   Alcotest.(check bool) "null preserved in-band" true (C.is_null strs 0);
-  (* Constant columns collapse to a run. *)
-  let const = C.of_ints ~name:"c" (Array.make 10_000 (Some 7)) in
-  Alcotest.(check bool) "constant column is rle" true (C.encoding const = C.Rle);
-  Alcotest.(check bool) "rle tiny" true (C.byte_size const < 128);
-  (* All-NULL columns need no width at all. *)
   let nulls = C.of_strings ~name:"n" (Array.make 4_096 None) in
-  check Alcotest.int "all-null distinct" 0 (C.distinct_count nulls);
-  Alcotest.(check bool) "all-null null_count" true (C.null_count nulls = 4_096);
-  Alcotest.(check bool) "all-null compresses" true
-    (C.byte_size nulls * 8 <= C.flat_byte_size nulls)
+  Alcotest.(check bool) "all-null packs to a bit per row" true
+    (C.byte_size nulls * 32 <= C.flat_byte_size nulls);
+  let span57 =
+    C.of_ints ~name:"w" (Array.init 64 (fun i -> if i mod 2 = 0 then Some 0 else Some ((1 lsl 57) - 2)))
+  in
+  Alcotest.(check bool) "a 57-bit range packs" true
+    (C.byte_size span57 < C.flat_byte_size span57);
+  List.iter
+    (fun (what, cells) ->
+      let c = int_column_of cells in
+      check Alcotest.int (what ^ " stays flat") (C.flat_byte_size c) (C.byte_size c);
+      Alcotest.(check bool) (what ^ " roundtrip") true (int_roundtrip cells))
+    [
+      ("a 58-bit range", [ Some 0; Some ((1 lsl 57) - 1); None ]);
+      ("min_int + 1 to max_int", [ Some max_int; None; Some (min_int + 1) ]);
+      ("a range past max_int", [ Some (-2); Some max_int ]);
+    ]
 
 let test_encoding_stats_cached () =
   let c = C.of_ints ~name:"x" [| Some 5; None; Some 7; Some 5; Some (-3) |] in
@@ -377,29 +408,6 @@ let test_take_shares_dict () =
   | Storage.Value.Str "b" -> ()
   | v -> Alcotest.failf "unexpected %s" (Storage.Value.to_string v))
 
-let test_database_recode () =
-  let db = Lazy.force Support.imdb in
-  List.iter
-    (fun enc ->
-      let r = Storage.Database.recode db enc in
-      List.iter
-        (fun name ->
-          let t = Storage.Database.find_table db name
-          and t' = Storage.Database.find_table r name in
-          Alcotest.(check int)
-            (name ^ " rows")
-            (Storage.Table.row_count t)
-            (Storage.Table.row_count t');
-          Array.iteri
-            (fun i c ->
-              let c' = Storage.Table.column t' i in
-              if C.to_codes c <> C.to_codes c' then
-                Alcotest.failf "%s.%s differs under %s" name (C.name c)
-                  (C.encoding_name enc))
-            (Storage.Table.columns t))
-        (Storage.Database.table_names db))
-    C.all_encodings
-
 let suite =
   [
     Alcotest.test_case "dict roundtrip" `Quick test_dict_roundtrip;
@@ -422,9 +430,10 @@ let suite =
     encoding_roundtrip_sorted;
     encoding_roundtrip_runs;
     encoding_roundtrip_strings;
-    Alcotest.test_case "encoding chooser" `Quick test_encoding_chooser;
+    Alcotest.test_case "column edge shapes: constant, all-NULL, empty" `Quick
+      test_column_edge_shapes;
+    Alcotest.test_case "column layout: bit-packed, or flat" `Quick test_column_layout;
     Alcotest.test_case "encoding stats cached" `Quick test_encoding_stats_cached;
     Alcotest.test_case "distinct count around the bitmap bound" `Quick test_distinct_count_bound;
     Alcotest.test_case "take shares dict" `Quick test_take_shares_dict;
-    Alcotest.test_case "database recode" `Quick test_database_recode;
   ]
