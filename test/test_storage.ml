@@ -293,7 +293,7 @@ let encoding_roundtrip_random =
     int_roundtrip
 
 let encoding_roundtrip_sorted =
-  Support.qcheck_case ~name:"encodings roundtrip on sorted columns"
+  Support.qcheck_case ~name:"encodings roundtrip on sorted columns (bit-packed)"
     QCheck.(small_list (option small_int))
     (fun cells -> int_roundtrip (List.sort compare cells))
 
