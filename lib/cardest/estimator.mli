@@ -47,7 +47,12 @@ val compositional :
   unit ->
   t
 (** Build a memoized estimator over one query graph. [base] is consulted
-    once per relation. *)
+    once per relation. Multi-relation estimates are memoized in a float
+    array indexed by {!Query.Query_graph.subset_ordinal}, allocated on
+    the first multi-relation probe: an instance asked only for base
+    estimates never forces the graph's plan space, and a cached one
+    holds one unboxed word per connected subset. A disconnected subset
+    is estimated but not memoized. *)
 
 val of_function :
   name:string -> base:(int -> float) -> (Util.Bitset.t -> float) -> t

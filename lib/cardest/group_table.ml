@@ -208,24 +208,31 @@ let find t =
   end
   else t.slots.(locate_arena t)
 
-let add_scratch t delta =
+let find_or_add t =
   maybe_grow t;
   let k = if t.packed then pack_scratch t else -1 in
   if t.packed && k < 0 then migrate_to_arena t;
   let slot = if t.packed then locate_packed t k else locate_arena t in
   let id = t.slots.(slot) in
-  if id >= 0 then t.counts.(id) <- t.counts.(id) +. delta
+  if id >= 0 then id
   else begin
     grow_groups t;
     let id = t.n in
     t.n <- id + 1;
     if t.packed then t.keys.(id) <- k
     else Array.blit t.scratch 0 t.keys (id * t.arity) t.arity;
-    t.counts.(id) <- delta;
-    t.slots.(slot) <- id
+    t.counts.(id) <- 0.0;
+    t.slots.(slot) <- id;
+    id
   end
 
+let add_scratch t delta =
+  let id = find_or_add t in
+  t.counts.(id) <- t.counts.(id) +. delta
+
 let count t id = t.counts.(id)
+
+let counts t = t.counts
 
 let component t id f =
   if t.packed then begin

@@ -28,6 +28,12 @@ val add_scratch : t -> float -> unit
 (** Add [delta] to the multiplicity of the scratch key (inserting it
     with multiplicity [delta] when absent). *)
 
+val find_or_add : t -> int
+(** Group id of the scratch key, inserting it with multiplicity 0 when
+    absent. With {!counts} read after the call, a caller adds into the
+    multiplicity without passing a boxed float across the module
+    boundary. *)
+
 val find : t -> int
 (** Group id of the scratch key, -1 when absent. A group id rather than
     a multiplicity, so a caller's loop reading {!count} boxes no float
@@ -35,6 +41,12 @@ val find : t -> int
 
 val count : t -> int -> float
 (** Multiplicity of group [id], [0 <= id < groups t]. *)
+
+val counts : t -> float array
+(** The live multiplicity array, indexed by group id: entries
+    [0 .. groups t - 1] are the groups', the rest is spare capacity.
+    Inserting may replace it, so read it again after {!find_or_add} or
+    {!add_scratch}. *)
 
 val component : t -> int -> int -> int
 (** [component t id f] is field [f] of group [id]'s key. *)

@@ -38,28 +38,54 @@ let stats_base ?(magic = Selectivity.pg_magic) analyze ctx rel =
 (* ------------------------------------------------------------------ *)
 (* Sample-based base estimation (HyPer / DBMS A style)                  *)
 
+type sampling = { sample_size : int; fallback : float; seed : int }
+
+let hyper_sampling = { sample_size = 1_000; fallback = 0.002; seed = 271 }
+let dbms_a_sampling = { sample_size = 5_000; fallback = 0.0004; seed = 577 }
+
 (* Evaluating the whole conjunction on one sample captures intra-table
-   correlations — the reason these two systems dominate Table 1. *)
-let sample_base ~sample_size ~fallback ~seed ctx =
+   correlations — the reason these two systems dominate Table 1.
+
+   A table no larger than the sample is counted whole, in row order,
+   with no PRNG draw and no sample kept: exactly what [Sample.take]
+   returns there. A drawn sample is shared by every alias of its table
+   and dropped after the graph's last relation is estimated: the
+   compositional framework asks for each relation once, so the
+   [n_relations]-th call is the last one that could read it. *)
+let sample_base { sample_size; fallback; seed } ctx =
   let prng = Util.Prng.create seed in
   let samples : (string, Dbstats.Sample.t) Hashtbl.t = Hashtbl.create 16 in
+  let calls = ref 0 in
   fun rel ->
     let relation = QG.relation ctx.graph rel in
     let table = relation.QG.table in
-    let name = Storage.Table.name table in
-    let sample =
-      match Hashtbl.find_opt samples name with
-      | Some s -> s
-      | None ->
-          let s = Dbstats.Sample.take prng table ~size:sample_size in
-          Hashtbl.add samples name s;
-          s
-    in
     let pred = Query.Predicate.compile table relation.QG.preds in
-    let matches = Dbstats.Sample.evaluate sample table pred in
+    let rows = Storage.Table.row_count table in
+    let matches, size =
+      if sample_size >= rows then begin
+        let m = ref 0 in
+        for row = 0 to rows - 1 do
+          if pred row then incr m
+        done;
+        (!m, rows)
+      end
+      else begin
+        let name = Storage.Table.name table in
+        let sample =
+          match Hashtbl.find_opt samples name with
+          | Some s -> s
+          | None ->
+              let s = Dbstats.Sample.take prng table ~size:sample_size in
+              Hashtbl.add samples name s;
+              s
+        in
+        (Dbstats.Sample.evaluate sample table pred, Dbstats.Sample.size sample)
+      end
+    in
+    incr calls;
+    if !calls = QG.n_relations ctx.graph then Hashtbl.reset samples;
     let selectivity =
-      if matches > 0 then
-        float_of_int matches /. float_of_int (Dbstats.Sample.size sample)
+      if matches > 0 then float_of_int matches /. float_of_int size
       else if relation.QG.preds = [] then 1.0
       else fallback (* zero rows on the sample: magic constant *)
     in
@@ -68,37 +94,59 @@ let sample_base ~sample_size ~fallback ~seed ctx =
 (* ------------------------------------------------------------------ *)
 (* Systems                                                              *)
 
-let postgres ?(true_distinct = false) analyze ctx =
-  let name = if true_distinct then "PostgreSQL (true distinct)" else "PostgreSQL" in
-  Estimator.compositional ~name ~graph:ctx.graph
-    ~base:(stats_base analyze ctx)
-    ~edge_selectivity:
-      (Estimator.textbook_edge_selectivity
-         ~dom:(dom_function analyze ctx ~exact:true_distinct))
-    ~combine:Estimator.Independence ~rounding:Estimator.Clamp_one ()
+type parts = {
+  name : string;
+  base : int -> float;
+  edge_selectivity : QG.edge -> float;
+  combine : Estimator.combine;
+  rounding : Estimator.rounding;
+}
 
-let hyper analyze ctx =
-  Estimator.compositional ~name:"HyPer" ~graph:ctx.graph
-    ~base:(sample_base ~sample_size:1_000 ~fallback:0.002 ~seed:271 ctx)
-    ~edge_selectivity:
-      (Estimator.textbook_edge_selectivity
-         ~dom:(dom_function analyze ctx ~exact:true))
-    ~combine:Estimator.Independence ~rounding:Estimator.Clamp_one ()
+let build ctx p =
+  Estimator.compositional ~name:p.name ~graph:ctx.graph ~base:p.base
+    ~edge_selectivity:p.edge_selectivity ~combine:p.combine ~rounding:p.rounding ()
+
+let textbook analyze ctx ~exact =
+  Estimator.textbook_edge_selectivity ~dom:(dom_function analyze ctx ~exact)
+
+let postgres_parts ?(true_distinct = false) analyze ctx =
+  {
+    name = (if true_distinct then "PostgreSQL (true distinct)" else "PostgreSQL");
+    base = stats_base analyze ctx;
+    edge_selectivity = textbook analyze ctx ~exact:true_distinct;
+    combine = Estimator.Independence;
+    rounding = Estimator.Clamp_one;
+  }
+
+let postgres ?true_distinct analyze ctx = build ctx (postgres_parts ?true_distinct analyze ctx)
+
+let hyper_parts analyze ctx =
+  {
+    name = "HyPer";
+    base = sample_base hyper_sampling ctx;
+    edge_selectivity = textbook analyze ctx ~exact:true;
+    combine = Estimator.Independence;
+    rounding = Estimator.Clamp_one;
+  }
+
+let hyper analyze ctx = build ctx (hyper_parts analyze ctx)
 
 let dbms_a_damping = 0.85
 
-let dbms_a_damped damping analyze ctx =
-  Estimator.compositional
-    ~name:(Printf.sprintf "DBMS A (damping %.2f)" damping)
-    ~graph:ctx.graph
-    ~base:(sample_base ~sample_size:5_000 ~fallback:0.0004 ~seed:577 ctx)
-    ~edge_selectivity:
-      (Estimator.textbook_edge_selectivity
-         ~dom:(dom_function analyze ctx ~exact:true))
-    ~combine:(Estimator.Backoff damping) ~rounding:Estimator.Clamp_one ()
+let dbms_a_parts ~name damping analyze ctx =
+  {
+    name;
+    base = sample_base dbms_a_sampling ctx;
+    edge_selectivity = textbook analyze ctx ~exact:true;
+    combine = Estimator.Backoff damping;
+    rounding = Estimator.Clamp_one;
+  }
 
-let dbms_a analyze ctx =
-  { (dbms_a_damped dbms_a_damping analyze ctx) with Estimator.name = "DBMS A" }
+let dbms_a_damped damping analyze ctx =
+  build ctx
+    (dbms_a_parts ~name:(Printf.sprintf "DBMS A (damping %.2f)" damping) damping analyze ctx)
+
+let dbms_a analyze ctx = build ctx (dbms_a_parts ~name:"DBMS A" dbms_a_damping analyze ctx)
 
 let coarse_analyze db =
   Analyze.create ~seed:99 ~sample_size:2_000 ~buckets:10 ~mcv_entries:5 db
@@ -107,7 +155,7 @@ let coarse_analyze db =
    crude magic constants, an extra per-join fudge factor, and
    floor-to-integer rounding — the paper's "frequently estimates 1 row
    beyond 2 joins" system. *)
-let dbms_b coarse ctx =
+let dbms_b_parts coarse ctx =
   let magic =
     { Selectivity.like_contains = 0.15; like_prefix = 0.25; default_range = 0.4 }
   in
@@ -127,17 +175,20 @@ let dbms_b coarse ctx =
     let sel = List.fold_left (fun acc a -> acc *. atom_sel a) 1.0 relation.QG.preds in
     sel *. rows_of ctx rel
   in
-  let textbook =
-    Estimator.textbook_edge_selectivity
-      ~dom:(dom_function coarse ctx ~exact:false)
-  in
-  Estimator.compositional ~name:"DBMS B" ~graph:ctx.graph ~base
-    ~edge_selectivity:(fun e -> 0.35 *. textbook e)
-    ~combine:Estimator.Independence ~rounding:Estimator.Floor_one ()
+  let textbook = textbook coarse ctx ~exact:false in
+  {
+    name = "DBMS B";
+    base;
+    edge_selectivity = (fun e -> 0.35 *. textbook e);
+    combine = Estimator.Independence;
+    rounding = Estimator.Floor_one;
+  }
+
+let dbms_b coarse ctx = build ctx (dbms_b_parts coarse ctx)
 
 (* DBMS C: optimistic magic constants and a per-atom selectivity floor —
    correct medians, a heavy overestimation tail. *)
-let dbms_c analyze ctx =
+let dbms_c_parts analyze ctx =
   let magic =
     { Selectivity.like_contains = 0.25; like_prefix = 0.3; default_range = 0.5 }
   in
@@ -157,8 +208,21 @@ let dbms_c analyze ctx =
     in
     sel *. rows_of ctx rel
   in
-  Estimator.compositional ~name:"DBMS C" ~graph:ctx.graph ~base
-    ~edge_selectivity:
-      (Estimator.textbook_edge_selectivity
-         ~dom:(dom_function analyze ctx ~exact:false))
-    ~combine:Estimator.Independence ~rounding:Estimator.Clamp_one ()
+  {
+    name = "DBMS C";
+    base;
+    edge_selectivity = textbook analyze ctx ~exact:false;
+    combine = Estimator.Independence;
+    rounding = Estimator.Clamp_one;
+  }
+
+let dbms_c analyze ctx = build ctx (dbms_c_parts analyze ctx)
+
+let parts name ~analyze ~coarse ctx =
+  match name with
+  | "PostgreSQL" -> postgres_parts analyze ctx
+  | "DBMS A" -> dbms_a_parts ~name dbms_a_damping analyze ctx
+  | "DBMS B" -> dbms_b_parts coarse ctx
+  | "DBMS C" -> dbms_c_parts analyze ctx
+  | "HyPer" -> hyper_parts analyze ctx
+  | _ -> invalid_arg ("Systems.parts: unknown system " ^ name)

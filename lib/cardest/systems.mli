@@ -23,6 +23,33 @@ type context = {
   graph : Query.Query_graph.t;
 }
 
+type parts = {
+  name : string;
+  base : int -> float;
+      (** Raw base estimates; {!Estimator.compositional} asks for each
+          relation once. *)
+  edge_selectivity : Query.Query_graph.edge -> float;
+  combine : Estimator.combine;
+  rounding : Estimator.rounding;
+}
+(** What one system's estimator over one query is built from: each
+    system below is {!Estimator.compositional} over its parts. *)
+
+val parts :
+  string -> analyze:Dbstats.Analyze.t -> coarse:Dbstats.Analyze.t -> context -> parts
+(** Fresh parts of the system with display name [name] (one of
+    {!names}); DBMS B reads [coarse], the others [analyze]. Raises
+    [Invalid_argument] for another name. For checking the framework
+    against a reference built from the same parts. *)
+
+type sampling = { sample_size : int; fallback : float; seed : int }
+(** A sample-based system's base estimation: the per-table sample size,
+    the selectivity assumed when no sampled row qualifies, and the seed
+    of the instance's sampling PRNG. *)
+
+val hyper_sampling : sampling
+val dbms_a_sampling : sampling
+
 val postgres :
   ?true_distinct:bool -> Dbstats.Analyze.t -> context -> Estimator.t
 (** Histogram + MCV + sampled-distinct statistics, independence,
@@ -31,7 +58,11 @@ val postgres :
 
 val hyper : Dbstats.Analyze.t -> context -> Estimator.t
 (** 1000-row table sample evaluated against the full conjunction; magic
-    fallback when the sample yields zero rows. *)
+    fallback when the sample yields zero rows. A table no larger than
+    the sample is counted whole and keeps no sample; a drawn sample is
+    shared by the aliases of its table and dropped once every relation
+    of the query has its base estimate, so a cached instance keeps its
+    estimates, not row ids. DBMS A samples the same way. *)
 
 val dbms_a : Dbstats.Analyze.t -> context -> Estimator.t
 (** 5000-row sample plus damped join-selectivity combination — the best

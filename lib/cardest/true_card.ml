@@ -359,19 +359,21 @@ let release w t = w.pool.(GT.arity t) <- t :: w.pool.(GT.arity t)
 (* Multiply each group of [v]'s base groups [g] that [joins] by its [n]
    children's messages, looked up through [child_pos]; add each non-zero
    weight into [out] under the fields [out_pos] or, at the root, into
-   the returned sum. No closure and no captured ref: the weights stay
-   unboxed. *)
+   the returned sum. No closure and no captured ref, and every
+   multiplicity is read from and added into the tables' count arrays
+   here: the weights stay unboxed. *)
 let absorb w v g n ~out ~out_pos =
   let sum = ref 0.0 in
   let every = Array.length w.nullf.(v) = 0 && Array.length w.dups.(v) = 0 in
+  let gcounts = GT.counts g in
   for id = 0 to GT.groups g - 1 do
-    let wt = ref (if every || joins w v g id then GT.count g id else 0.0) in
+    let wt = ref (if every || joins w v g id then gcounts.(id) else 0.0) in
     let q = ref 0 in
     while !q < n && !wt > 0.0 do
       let msg = w.child_msg.(!q) in
       extract g id w.child_pos.(!q) (GT.scratch msg);
       let mid = GT.find msg in
-      wt := if mid < 0 then 0.0 else !wt *. GT.count msg mid;
+      wt := if mid < 0 then 0.0 else !wt *. (GT.counts msg).(mid);
       incr q
     done;
     if !wt > 0.0 then
@@ -379,7 +381,9 @@ let absorb w v g n ~out ~out_pos =
       | None -> sum := !sum +. !wt
       | Some out ->
           extract g id out_pos (GT.scratch out);
-          GT.add_scratch out !wt
+          let oid = GT.find_or_add out in
+          let ocounts = GT.counts out in
+          ocounts.(oid) <- ocounts.(oid) +. !wt
   done;
   !sum
 

@@ -212,8 +212,8 @@ let estimator t q system =
             }
         in
         (* Count subset probes through the shared instance; the memo
-           table inside [est.subset] keeps doing the actual caching. The
-           instance mutex guards those internal memo tables: one
+           inside [est.subset] keeps doing the actual caching. The
+           instance mutex guards its internal memos and samples: one
            instance is shared by every domain working on this
            (query, system) pair. *)
         let m = Mutex.create () in

@@ -632,14 +632,31 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       join_layout (Bitset.union oset iset) outer.rels inner.rels
     in
     let width = Array.length out_rels and ow = Array.length opos in
-    (* Joined tuples fill a [chunk]-row buffer staged, when full, in
-       slot 0's segments: the materializing sink's path, one morsel. *)
+    (* Joined tuples are gathered straight into slot 0's staging
+       segments, the materializing sink's store, as one morsel: into
+       the current segment when the tuple fits there, otherwise through
+       [seg_runs], where [put] writes words [k, k + n) of the tuple
+       joining outer row [!oi] and inner row [!ij]. *)
     let w0 = workers.(0) in
     w0.wlen <- 0;
-    let out = chunk_batch out_rels in
-    let flush () =
-      stage w0 out 0 out.nrows;
-      out.nrows <- 0
+    let oi = ref 0 and ij = ref 0 in
+    let put seg at k n =
+      let obase = !oi * outer.width and ibase = !ij * inner.width in
+      for x = k to k + n - 1 do
+        seg.(at + x - k) <-
+          (if x < ow then outer.data.(obase + opos.(x))
+           else inner.data.(ibase + ipos.(x - ow)))
+      done
+    in
+    let stage_tuple () =
+      let off = w0.wlen in
+      let s = off / seg_words and at = off mod seg_words in
+      if at + width <= seg_words && s < Array.length w0.wsegs then begin
+        gather w0.wsegs.(s) at outer !oi opos;
+        gather w0.wsegs.(s) (at + ow) inner !ij ipos
+      end
+      else seg_runs w0 off width put;
+      w0.wlen <- off + width
     in
     let rows = ref 0 in
     let i = ref 0 and j = ref 0 in
@@ -660,17 +677,14 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         for a = !i to !i_end - 1 do
           for b = !j to !j_end - 1 do
             spend 1;
-            let oi = oidx.(a) and ij = iidx.(b) in
-            if keys_equal outer oslots odatas oi inner islots idatas ij then begin
+            oi := oidx.(a);
+            ij := iidx.(b);
+            if keys_equal outer oslots odatas !oi inner islots idatas !ij then begin
               (* The work_mem stand-in: an output outgrowing the row
                  budget counts as a timeout. *)
               incr rows;
               if !rows > row_limit then raise Timeout;
-              let base = out.nrows * width in
-              gather out.data base outer oi opos;
-              gather out.data (base + ow) inner ij ipos;
-              out.nrows <- out.nrows + 1;
-              if out.nrows = chunk then flush ();
+              stage_tuple ();
               spend emit_cost
             end
           done
@@ -679,8 +693,6 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         j := !j_end
       end
     done;
-    flush ();
-    pool_release out.data;
     pool_release okeys;
     pool_release ikeys;
     retire outer;

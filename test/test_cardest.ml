@@ -928,6 +928,241 @@ let test_sample_estimators_good_base () =
   let c = err "C" (Cardest.Systems.dbms_c analyze ctx) in
   Alcotest.(check bool) (Printf.sprintf "A (%.1f) <= C (%.1f)" a c) true (a <= c)
 
+(* --- Cached instances: oracles for the memo and the samples ----------------- *)
+
+(* The compositional framework as it memoized before ordinals: a
+   [Hashtbl] keyed by subset, the split and the formula written out
+   again. The ordinal memo must give bit-equal estimates with the same
+   sequence of base calls. *)
+module Hashtbl_compositional = struct
+  let round rounding x =
+    match rounding with
+    | Cardest.Estimator.No_rounding -> x
+    | Cardest.Estimator.Clamp_one -> Float.max 1.0 x
+    | Cardest.Estimator.Floor_one -> Float.max 1.0 (Float.of_int (int_of_float x))
+
+  let create graph (p : Cardest.Systems.parts) =
+    let n = QG.n_relations graph in
+    let base_cache = Array.make n None in
+    let base r =
+      match base_cache.(r) with
+      | Some v -> v
+      | None ->
+          let v = p.base r in
+          base_cache.(r) <- Some v;
+          v
+    in
+    let memo = Hashtbl.create 256 in
+    let edges = QG.edges graph in
+    let rec subset s =
+      if Bitset.cardinal s = 1 then round p.rounding (base (Bitset.lowest s))
+      else
+        match Hashtbl.find_opt memo s with
+        | Some v -> v
+        | None ->
+            let rec split r =
+              if Bitset.mem r s && QG.is_connected graph (Bitset.remove r s) then r
+              else split (r - 1)
+            in
+            let r = split (n - 1) in
+            let rest = Bitset.remove r s in
+            let rest_est = subset rest in
+            let joined = ref (rest_est *. base r) in
+            let j =
+              ref
+                (List.length
+                   (List.filter
+                      (fun (e : QG.edge) -> Bitset.mem e.QG.left rest && Bitset.mem e.QG.right rest)
+                      edges))
+            in
+            List.iter
+              (fun e ->
+                let sel = p.edge_selectivity e in
+                let sel =
+                  match p.combine with
+                  | Cardest.Estimator.Independence -> sel
+                  | Cardest.Estimator.Backoff c -> if !j = 0 then sel else sel ** c
+                in
+                joined := !joined *. sel;
+                incr j)
+              (QG.edges_between graph rest (Bitset.singleton r));
+            let v = round p.rounding !joined in
+            Hashtbl.add memo s v;
+            v
+    in
+    subset
+end
+
+let bits = Int64.bits_of_float
+
+(* [parts] with its base calls logged, newest first. *)
+let logged (p : Cardest.Systems.parts) =
+  let calls = ref [] in
+  ({ p with base = (fun r -> calls := r :: !calls; p.base r) }, calls)
+
+(* Every connected subset of every JOB query at the matrix scale, for
+   the five systems, probed in ordinal order and then in reverse on
+   fresh instances: the ordinal memo and the Hashtbl reference agree bit
+   for bit, on first probes and on hits, and call [base] in the same
+   order. *)
+let test_ordinal_memo_matches_hashtbl () =
+  let db = Support.fresh_imdb ~seed:42 ~scale:0.001 () in
+  let analyze = Dbstats.Analyze.create db in
+  let coarse = Cardest.Systems.coarse_analyze db in
+  List.iter
+    (fun (q : Workload.Job.query) ->
+      let graph =
+        (Sqlfront.Binder.bind_sql db ~name:q.Workload.Job.name q.Workload.Job.sql)
+          .Sqlfront.Binder.graph
+      in
+      let ctx = { Cardest.Systems.db; graph } in
+      let subsets = QG.connected_subsets graph in
+      let ordinal = Array.to_list subsets in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun (order, probes) ->
+              let fresh () = Cardest.Systems.parts name ~analyze ~coarse ctx in
+              let p, calls = logged (fresh ()) and rp, rcalls = logged (fresh ()) in
+              let est =
+                Cardest.Estimator.compositional ~name ~graph ~base:p.base
+                  ~edge_selectivity:p.edge_selectivity ~combine:p.combine
+                  ~rounding:p.rounding ()
+              in
+              let reference = Hashtbl_compositional.create graph rp in
+              List.iter
+                (fun pass ->
+                  List.iter
+                    (fun s ->
+                      let got = est.Cardest.Estimator.subset s and want = reference s in
+                      if bits got <> bits want then
+                        Alcotest.failf "%s %s %s (%s order, %s): %h, reference %h"
+                          q.Workload.Job.name name
+                          (Format.asprintf "%a" Bitset.pp s)
+                          order pass got want)
+                    probes)
+                [ "first probes"; "hits" ];
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s %s base calls (%s order)" q.Workload.Job.name name order)
+                !rcalls !calls)
+            [ ("ordinal", ordinal); ("reverse", List.rev ordinal) ])
+        Cardest.Systems.names)
+    Workload.Job.all
+
+(* The sample-based base estimate as it was before samples were
+   released: every table drawn through [Sample.take], every sample kept
+   for the instance's life. *)
+let keep_every_sample ({ Cardest.Systems.sample_size; fallback; seed } : Cardest.Systems.sampling)
+    (ctx : Cardest.Systems.context) =
+  let prng = Util.Prng.create seed in
+  let samples = Hashtbl.create 16 in
+  fun rel ->
+    let relation = QG.relation ctx.graph rel in
+    let table = relation.QG.table in
+    let name = Storage.Table.name table in
+    let sample =
+      match Hashtbl.find_opt samples name with
+      | Some s -> s
+      | None ->
+          let s = Dbstats.Sample.take prng table ~size:sample_size in
+          Hashtbl.add samples name s;
+          s
+    in
+    let matches =
+      Dbstats.Sample.evaluate sample table (Query.Predicate.compile table relation.QG.preds)
+    in
+    let sel =
+      if matches > 0 then float_of_int matches /. float_of_int (Dbstats.Sample.size sample)
+      else if relation.QG.preds = [] then 1.0
+      else fallback
+    in
+    sel *. float_of_int (Storage.Table.row_count table)
+
+(* DBMS A and HyPer base estimates of every JOB query, asked for in
+   relation order and in reverse, equal the keep-every-sample
+   reference's. At 0.01 some tables outgrow both samples, so drawn
+   samples, and their reuse by a second alias of the same table, are
+   checked too. *)
+let check_sample_bases ~scale =
+  let db = Support.fresh_imdb ~seed:42 ~scale () in
+  let analyze = Dbstats.Analyze.create db in
+  let aliased_draws = ref 0 in
+  List.iter
+    (fun (q : Workload.Job.query) ->
+      let graph =
+        (Sqlfront.Binder.bind_sql db ~name:q.Workload.Job.name q.Workload.Job.sql)
+          .Sqlfront.Binder.graph
+      in
+      let ctx = { Cardest.Systems.db; graph } in
+      let n = QG.n_relations graph in
+      let tables =
+        Array.map (fun (r : QG.relation) -> Storage.Table.name r.QG.table) (QG.relations graph)
+      in
+      List.iter
+        (fun (name, system, sampling) ->
+          Array.iteri
+            (fun r t ->
+              let rows = Storage.Table.row_count (QG.relation graph r).QG.table in
+              let aliases = Array.fold_left (fun k t' -> if t' = t then k + 1 else k) 0 tables in
+              if rows > sampling.Cardest.Systems.sample_size && aliases > 1 then incr aliased_draws)
+            tables;
+          List.iter
+            (fun order ->
+              let est = system analyze ctx and reference = keep_every_sample sampling ctx in
+              List.iter
+                (fun r ->
+                  let got = est.Cardest.Estimator.base r and want = reference r in
+                  if bits got <> bits want then
+                    Alcotest.failf "%s %s relation %d at scale %g: %h, reference %h"
+                      q.Workload.Job.name name r scale got want)
+                order)
+            [ List.init n Fun.id; List.init n (fun i -> n - 1 - i) ])
+        [
+          ("DBMS A", Cardest.Systems.dbms_a, Cardest.Systems.dbms_a_sampling);
+          ("HyPer", Cardest.Systems.hyper, Cardest.Systems.hyper_sampling);
+        ])
+    Workload.Job.all;
+  !aliased_draws
+
+let test_sample_bases_match_reference () =
+  ignore (check_sample_bases ~scale:0.001);
+  Alcotest.(check bool) "0.01 draws samples shared by two aliases" true
+    (check_sample_bases ~scale:0.01 > 0)
+
+(* What the pipeline keeps after the optimizer-matrix pass: the 66
+   queries at 0.001, exact cardinalities, then every estimator under
+   every cost model planned through the caches. Cached estimator
+   instances keep their estimates, not row samples or boxed memo
+   entries, so the whole pipeline, database included, stays under
+   6 MiB. *)
+let test_matrix_pass_retention () =
+  let db = Support.fresh_imdb ~seed:42 ~scale:0.001 () in
+  let pipe = Core.Pipeline.create db in
+  let queries =
+    List.concat_map
+      (fun (_, variants) -> List.filteri (fun i _ -> i < 2) variants)
+      Workload.Job.families
+  in
+  let bound =
+    List.map
+      (fun (q : Workload.Job.query) ->
+        Core.Pipeline.bind pipe ~name:q.Workload.Job.name q.Workload.Job.sql)
+      queries
+  in
+  Core.Pipeline.warm_statistics pipe bound;
+  List.iter
+    (fun q ->
+      ignore (Core.Pipeline.truth pipe q);
+      List.iter
+        (fun estimator ->
+          List.iter
+            (fun cost_model -> ignore (Core.Pipeline.plan pipe ~estimator ~cost_model q))
+            [ "PostgreSQL"; "tuned"; "Cmm" ])
+        [ "PostgreSQL"; "DBMS A"; "DBMS B"; "DBMS C"; "HyPer"; "true" ])
+    bound;
+  let mib = float_of_int (Obj.reachable_words (Obj.repr pipe) * (Sys.word_size / 8)) /. 1048576.0 in
+  Alcotest.(check bool) (Printf.sprintf "pipeline holds %.2f MiB, under 6" mib) true (mib < 6.0)
+
 (* --- Injection ---------------------------------------------------------------------- *)
 
 let test_injection () =
@@ -992,6 +1227,11 @@ let suite =
       test_postgres_true_distinct_variant_differs;
     Alcotest.test_case "sample estimators beat magic" `Quick
       test_sample_estimators_good_base;
+    Alcotest.test_case "ordinal memo = Hashtbl reference on JOB" `Slow
+      test_ordinal_memo_matches_hashtbl;
+    Alcotest.test_case "sample bases = keep-every-sample reference" `Slow
+      test_sample_bases_match_reference;
+    Alcotest.test_case "matrix pass retention under 6 MiB" `Slow test_matrix_pass_retention;
     Alcotest.test_case "injection" `Quick test_injection;
     Alcotest.test_case "injection of estimator" `Quick test_injection_of_estimator;
   ]

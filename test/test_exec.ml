@@ -583,6 +583,41 @@ let test_count_only_merge_root () =
   Alcotest.(check (list string)) "no MINs" []
     (List.map Storage.Value.to_string r.Exec.Executor.mins)
 
+(* A merge join whose stored output is three slots wide: a 4096-word
+   staging segment ends inside a tuple (at row 1365), so that tuple is
+   split across two segments. The output feeds the next merge join's
+   keys, and every relation is projected; the answer must be the
+   all-hash plan's. *)
+let test_merge_output_straddles_segments () =
+  let db = Lazy.force Support.imdb_mid in
+  Storage.Database.set_index_config db Storage.Database.No_indexes;
+  let b =
+    Sqlfront.Binder.bind_sql db ~name:"straddle"
+      "SELECT MIN(t.title), MIN(ci.note), MIN(n.name), MIN(mc.note) FROM title AS t, \
+       cast_info AS ci, name AS n, movie_companies AS mc WHERE t.id = ci.movie_id \
+       AND n.id = ci.person_id AND t.id = mc.movie_id"
+  in
+  let g = b.Sqlfront.Binder.graph in
+  let rel alias = (Option.get (QG.relation_by_alias g alias)).QG.idx in
+  let middle = Bitset.of_list [ rel "ci"; rel "t"; rel "n" ] in
+  Alcotest.(check bool) "the three-slot output crosses a segment" true
+    (Cardest.True_card.card (Cardest.True_card.compute g) middle > 4096.0 /. 3.0);
+  let answer algo =
+    let join outer inner = Plan.join algo ~outer ~inner in
+    let plan =
+      join
+        (join (join (Plan.scan (rel "ci")) (Plan.scan (rel "t"))) (Plan.scan (rel "n")))
+        (Plan.scan (rel "mc"))
+    in
+    let r =
+      Exec.Executor.run ~db ~graph:g ~config:Exec.Engine_config.robust
+        ~size_est:(fun _ -> 64.0) ~projections:b.Sqlfront.Binder.projections plan
+    in
+    Printf.sprintf "rows %d, mins [%s]" r.Exec.Executor.rows
+      (String.concat "; " (List.map Storage.Value.to_string r.Exec.Executor.mins))
+  in
+  Alcotest.(check string) "merge = hash" (answer Plan.Hash_join) (answer Plan.Merge_join)
+
 let test_merge_join_costs_more_than_hash () =
   (* The paper's work_mem observation: in memory, hashing beats
      sort-merge. Same join, both algorithms. *)
@@ -894,6 +929,8 @@ let suite =
       test_count_only_merge_root;
     Alcotest.test_case "merge join slower in memory" `Quick
       test_merge_join_costs_more_than_hash;
+    Alcotest.test_case "merge output straddles staging segments" `Quick
+      test_merge_output_straddles_segments;
     Alcotest.test_case "rows match truth" `Quick test_executor_rows_match_truth;
     Alcotest.test_case "min projections" `Quick test_executor_mins;
     Alcotest.test_case "a column too wide to pack, end to end" `Quick test_wide_column;

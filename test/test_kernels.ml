@@ -386,12 +386,72 @@ let test_group_table_clear () =
   Alcotest.(check bool) "packed again" true (GT.is_packed t);
   refill "cleared twice" t (many @ misfit @ small)
 
+(* The id-returning insert plus an add into the live count array, as
+   True_card's message loop does it, builds the same table as
+   [add_scratch]: the same groups under the same ids with bit-equal
+   counts, packed, after migrating, and cleared back to packed. *)
+let test_group_table_find_or_add () =
+  let add_by_id t a b delta =
+    let s = GT.scratch t in
+    s.(0) <- a;
+    s.(1) <- b;
+    let id = GT.find_or_add t in
+    let counts = GT.counts t in
+    counts.(id) <- counts.(id) +. delta
+  in
+  let small = [ (1, 2, 1.0); (3, 4, 2.0); (1, 2, 0.5); (null, 7, 4.0); (0, 7, 8.0) ] in
+  let many = List.init 300 (fun i -> (i mod 97, 2 * i, 0.1 *. float_of_int (i + 1))) in
+  let misfit = [ (-5, 3, 2.5); (1, 2, 0.25) ] in
+  let probes = [ (1, 2); (3, 4); (null, 7); (0, 7); (9, 9); (-5, 3); (96, 386) ] in
+  let a = GT.create ~arity:2 () and b = GT.create ~arity:2 () in
+  let both what keys =
+    List.iter (fun (x, y, d) -> add a x y d) keys;
+    List.iter (fun (x, y, d) -> add_by_id b x y d) keys;
+    Alcotest.(check string) what (snapshot a probes) (snapshot b probes)
+  in
+  both "packed" (small @ many);
+  Alcotest.(check bool) "still packed" true (GT.is_packed b);
+  both "migrated to the arena" misfit;
+  Alcotest.(check bool) "arena" false (GT.is_packed b);
+  both "arena after migrating" (List.rev small @ many);
+  GT.clear a;
+  GT.clear b;
+  both "cleared, packed again" (many @ small);
+  Alcotest.(check bool) "packed after the clear" true (GT.is_packed b);
+  (* Wide keys live in the arena from the start. *)
+  let wide = GT.create ~arity:3 () and wide' = GT.create ~arity:3 () in
+  for i = 0 to 199 do
+    let fill t =
+      let s = GT.scratch t in
+      s.(0) <- i mod 7;
+      s.(1) <- i mod 11;
+      s.(2) <- i mod 5
+    in
+    fill wide;
+    GT.add_scratch wide (float_of_int i);
+    fill wide';
+    let id = GT.find_or_add wide' in
+    (GT.counts wide').(id) <- (GT.counts wide').(id) +. float_of_int i
+  done;
+  Alcotest.(check int) "arity 3: same groups" (GT.groups wide) (GT.groups wide');
+  for id = 0 to GT.groups wide - 1 do
+    for f = 0 to 2 do
+      Alcotest.(check int) "arity 3: same key" (GT.component wide id f)
+        (GT.component wide' id f)
+    done;
+    Alcotest.(check int64) "arity 3: bit-equal count"
+      (Int64.bits_of_float (GT.count wide id))
+      (Int64.bits_of_float (GT.count wide' id))
+  done
+
 let suite =
   [
     Alcotest.test_case "packed key round-trips" `Quick test_packed_roundtrip;
     Alcotest.test_case "group table operations" `Quick test_group_table_ops;
     Alcotest.test_case "group table migration" `Quick test_group_table_migration;
     Alcotest.test_case "group table clear" `Quick test_group_table_clear;
+    Alcotest.test_case "group table find_or_add = add_scratch" `Quick
+      test_group_table_find_or_add;
     Alcotest.test_case "selection vectors match row closures" `Slow
       test_selector_matches_compile;
     Alcotest.test_case "full workload matches pre-change goldens" `Slow
