@@ -46,50 +46,45 @@ let dbms_a_sampling = { sample_size = 5_000; fallback = 0.0004; seed = 577 }
 (* Evaluating the whole conjunction on one sample captures intra-table
    correlations — the reason these two systems dominate Table 1.
 
-   A table no larger than the sample is counted whole, in row order,
-   with no PRNG draw and no sample kept: exactly what [Sample.take]
-   returns there. A drawn sample is shared by every alias of its table
-   and dropped after the graph's last relation is estimated: the
-   compositional framework asks for each relation once, so the
-   [n_relations]-th call is the last one that could read it. *)
+   A sample is shared by every alias of its table. Each relation's
+   estimate is kept, and the samples are dropped once every relation of
+   the graph has one: an instance then holds [n_relations] floats, not
+   row ids, and a later call returns the kept estimate rather than
+   drawing again from the advanced PRNG. *)
 let sample_base { sample_size; fallback; seed } ctx =
   let prng = Util.Prng.create seed in
   let samples : (string, Dbstats.Sample.t) Hashtbl.t = Hashtbl.create 16 in
-  let calls = ref 0 in
-  fun rel ->
+  let estimates = Array.make (QG.n_relations ctx.graph) Float.nan in
+  let missing = ref (Array.length estimates) in
+  let estimate rel =
     let relation = QG.relation ctx.graph rel in
     let table = relation.QG.table in
-    let pred = Query.Predicate.compile table relation.QG.preds in
-    let rows = Storage.Table.row_count table in
-    let matches, size =
-      if sample_size >= rows then begin
-        let m = ref 0 in
-        for row = 0 to rows - 1 do
-          if pred row then incr m
-        done;
-        (!m, rows)
-      end
-      else begin
-        let name = Storage.Table.name table in
-        let sample =
-          match Hashtbl.find_opt samples name with
-          | Some s -> s
-          | None ->
-              let s = Dbstats.Sample.take prng table ~size:sample_size in
-              Hashtbl.add samples name s;
-              s
-        in
-        (Dbstats.Sample.evaluate sample table pred, Dbstats.Sample.size sample)
-      end
+    let name = Storage.Table.name table in
+    let sample =
+      match Hashtbl.find_opt samples name with
+      | Some s -> s
+      | None ->
+          let s = Dbstats.Sample.take prng table ~size:sample_size in
+          Hashtbl.add samples name s;
+          s
     in
-    incr calls;
-    if !calls = QG.n_relations ctx.graph then Hashtbl.reset samples;
+    let pred = Query.Predicate.compile table relation.QG.preds in
+    let matches = Dbstats.Sample.evaluate sample table pred in
     let selectivity =
-      if matches > 0 then float_of_int matches /. float_of_int size
+      if matches > 0 then
+        float_of_int matches /. float_of_int (Dbstats.Sample.size sample)
       else if relation.QG.preds = [] then 1.0
       else fallback (* zero rows on the sample: magic constant *)
     in
     selectivity *. rows_of ctx rel
+  in
+  fun rel ->
+    if Float.is_nan estimates.(rel) then begin
+      estimates.(rel) <- estimate rel;
+      decr missing;
+      if !missing = 0 then Hashtbl.reset samples
+    end;
+    estimates.(rel)
 
 (* ------------------------------------------------------------------ *)
 (* Systems                                                              *)
@@ -133,7 +128,7 @@ let hyper analyze ctx = build ctx (hyper_parts analyze ctx)
 
 let dbms_a_damping = 0.85
 
-let dbms_a_parts ~name damping analyze ctx =
+let dbms_a_damped_parts ~name damping analyze ctx =
   {
     name;
     base = sample_base dbms_a_sampling ctx;
@@ -144,9 +139,13 @@ let dbms_a_parts ~name damping analyze ctx =
 
 let dbms_a_damped damping analyze ctx =
   build ctx
-    (dbms_a_parts ~name:(Printf.sprintf "DBMS A (damping %.2f)" damping) damping analyze ctx)
+    (dbms_a_damped_parts
+       ~name:(Printf.sprintf "DBMS A (damping %.2f)" damping)
+       damping analyze ctx)
 
-let dbms_a analyze ctx = build ctx (dbms_a_parts ~name:"DBMS A" dbms_a_damping analyze ctx)
+let dbms_a_parts analyze ctx = dbms_a_damped_parts ~name:"DBMS A" dbms_a_damping analyze ctx
+
+let dbms_a analyze ctx = build ctx (dbms_a_parts analyze ctx)
 
 let coarse_analyze db =
   Analyze.create ~seed:99 ~sample_size:2_000 ~buckets:10 ~mcv_entries:5 db
@@ -217,12 +216,3 @@ let dbms_c_parts analyze ctx =
   }
 
 let dbms_c analyze ctx = build ctx (dbms_c_parts analyze ctx)
-
-let parts name ~analyze ~coarse ctx =
-  match name with
-  | "PostgreSQL" -> postgres_parts analyze ctx
-  | "DBMS A" -> dbms_a_parts ~name dbms_a_damping analyze ctx
-  | "DBMS B" -> dbms_b_parts coarse ctx
-  | "DBMS C" -> dbms_c_parts analyze ctx
-  | "HyPer" -> hyper_parts analyze ctx
-  | _ -> invalid_arg ("Systems.parts: unknown system " ^ name)

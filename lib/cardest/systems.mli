@@ -26,26 +26,29 @@ type context = {
 type parts = {
   name : string;
   base : int -> float;
-      (** Raw base estimates; {!Estimator.compositional} asks for each
-          relation once. *)
+      (** Base estimates; the same value on every call for a relation. *)
   edge_selectivity : Query.Query_graph.edge -> float;
   combine : Estimator.combine;
   rounding : Estimator.rounding;
 }
 (** What one system's estimator over one query is built from: each
-    system below is {!Estimator.compositional} over its parts. *)
+    system below is {!Estimator.compositional} over its parts. Exposed
+    so the framework can be checked against a reference built from the
+    same parts. *)
 
-val parts :
-  string -> analyze:Dbstats.Analyze.t -> coarse:Dbstats.Analyze.t -> context -> parts
-(** Fresh parts of the system with display name [name] (one of
-    {!names}); DBMS B reads [coarse], the others [analyze]. Raises
-    [Invalid_argument] for another name. For checking the framework
-    against a reference built from the same parts. *)
+val postgres_parts : ?true_distinct:bool -> Dbstats.Analyze.t -> context -> parts
+val dbms_a_parts : Dbstats.Analyze.t -> context -> parts
+val dbms_b_parts : Dbstats.Analyze.t -> context -> parts
+val dbms_c_parts : Dbstats.Analyze.t -> context -> parts
+val hyper_parts : Dbstats.Analyze.t -> context -> parts
+(** Fresh parts of {!postgres}, {!dbms_a}, {!dbms_b}, {!dbms_c} and
+    {!hyper}, taking the same statistics. *)
 
 type sampling = { sample_size : int; fallback : float; seed : int }
 (** A sample-based system's base estimation: the per-table sample size,
     the selectivity assumed when no sampled row qualifies, and the seed
-    of the instance's sampling PRNG. *)
+    of the instance's sampling PRNG. Exposed for a reference that
+    samples the same way. *)
 
 val hyper_sampling : sampling
 val dbms_a_sampling : sampling
@@ -58,10 +61,9 @@ val postgres :
 
 val hyper : Dbstats.Analyze.t -> context -> Estimator.t
 (** 1000-row table sample evaluated against the full conjunction; magic
-    fallback when the sample yields zero rows. A table no larger than
-    the sample is counted whole and keeps no sample; a drawn sample is
-    shared by the aliases of its table and dropped once every relation
-    of the query has its base estimate, so a cached instance keeps its
+    fallback when the sample yields zero rows. A sample is shared by
+    the aliases of its table and dropped once every relation of the
+    query has its base estimate, so a cached instance keeps its
     estimates, not row ids. DBMS A samples the same way. *)
 
 val dbms_a : Dbstats.Analyze.t -> context -> Estimator.t

@@ -37,10 +37,11 @@ let table t name =
       let sample = Sample.take t.prng tbl ~size:t.sample_size in
       (* Only the sample draws from the PRNG; a column's statistics are a
          function of it, built when an estimator first reads them. *)
+      let sample_rows = Sample.rows sample in
       let columns =
         Array.init (Storage.Table.column_count tbl) (fun col ->
             Util.Once.make (fun () ->
-                Column_stats.build tbl ~col ~sample_rows:sample.Sample.rows
+                Column_stats.build tbl ~col ~sample_rows
                   ~buckets:t.buckets ~mcv_entries:t.mcv_entries ()))
       in
       let stats = { table = tbl; row_count = Storage.Table.row_count tbl; columns; sample } in

@@ -1,18 +1,23 @@
-type t = { table : string; rows : int array }
+type t = Whole of int | Drawn of int array
 
 let take prng table ~size =
   let n = Storage.Table.row_count table in
-  let rows =
-    if size >= n then Array.init n (fun i -> i)
-    else Util.Prng.sample_without_replacement prng size n
-  in
-  { table = Storage.Table.name table; rows }
+  if size >= n then Whole n else Drawn (Util.Prng.sample_without_replacement prng size n)
+
+let rows = function Whole n -> Array.init n (fun i -> i) | Drawn rows -> rows
 
 let evaluate t table pred =
   ignore table;
-  Array.fold_left (fun acc row -> if pred row then acc + 1 else acc) 0 t.rows
+  match t with
+  | Whole n ->
+      let m = ref 0 in
+      for row = 0 to n - 1 do
+        if pred row then incr m
+      done;
+      !m
+  | Drawn rows -> Array.fold_left (fun acc row -> if pred row then acc + 1 else acc) 0 rows
 
-let size t = Array.length t.rows
+let size = function Whole n -> n | Drawn rows -> Array.length rows
 
 let selectivity t table pred =
   let n = size t in

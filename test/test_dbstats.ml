@@ -370,7 +370,7 @@ let test_column_stats_identity () =
           List.iter
             (fun name ->
               let stats = Dbstats.Analyze.table analyze name in
-              let sample_rows = stats.Dbstats.Analyze.sample.Dbstats.Sample.rows in
+              let sample_rows = Dbstats.Sample.rows stats.Dbstats.Analyze.sample in
               if Array.exists Util.Once.is_val stats.Dbstats.Analyze.columns then
                 Alcotest.failf "scale %g, %s, %s: a column was analyzed before it was read"
                   scale label name;
@@ -520,7 +520,7 @@ let test_warm_statistics_oracle () =
               List.iter
                 (fun name ->
                   let sa = Dbstats.Analyze.table a name and sb = Dbstats.Analyze.table b name in
-                  if sa.sample.rows <> sb.sample.rows then
+                  if Dbstats.Sample.rows sa.sample <> Dbstats.Sample.rows sb.sample then
                     Alcotest.failf "%s: %s sample differs" what name;
                   let columns (s : Dbstats.Analyze.table_stats) =
                     Array.map Util.Once.force s.columns
