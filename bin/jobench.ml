@@ -210,8 +210,10 @@ let run_cmd =
                 ~enumerator:(parse_enumerator enumerator) q
             in
             let engine = parse_engine engine in
-            print_string (Core.Session.explain_analyze s ~engine ?pool q choice);
-            let result = Core.Session.run s ~engine ?pool q choice in
+            let text, result =
+              Core.Session.explain_analyze s ~engine ?pool q choice
+            in
+            print_string text;
             List.iter
               (fun v ->
                 Printf.printf "  MIN = %s\n" (Storage.Value.to_string v))

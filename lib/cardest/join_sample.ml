@@ -13,20 +13,18 @@ let subset_table prng rate table =
     if Util.Prng.chance prng rate then keep := row :: !keep
   done;
   let rows = Array.of_list !keep in
-  let columns =
-    Array.map
-      (fun c -> Storage.Column.take c rows)
-      (Storage.Table.columns table)
-  in
-  (* Preserve key metadata: adaptive probing executes index-nested-loop
-     plans against the sample. *)
-  let col_name i = Storage.Column.name (Storage.Table.column table i) in
   Storage.Table.create ~name:(Storage.Table.name table)
-    ?pk:(Option.map col_name (Storage.Table.pk table))
-    ~fks:(List.map col_name (Storage.Table.fks table))
-    columns
+    (Array.map
+       (fun c -> Storage.Column.take c rows)
+       (Storage.Table.columns table))
 
-let create ?(seed = 1729) ?(rate = 0.1) ?(dimension_threshold = 1000) db =
+(* Tables above [dimension_threshold] rows are Bernoulli-sampled at
+   [rate]; smaller ones are kept whole. *)
+let seed = 1729
+let rate = 0.1
+let dimension_threshold = 1000
+
+let create db =
   let prng = Util.Prng.create seed in
   let sampled = Storage.Database.create () in
   let rates = Hashtbl.create 32 in

@@ -18,15 +18,10 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?rate:float ->
-  ?dimension_threshold:int ->
-  Storage.Database.t ->
-  t
+val create : Storage.Database.t -> t
 (** Build the sampled sub-database once; reusable across queries.
-    Defaults: rate 0.1 for tables with more than [dimension_threshold]
-    (default 1000) rows, whole tables below. *)
+    Tables with more than 1000 rows are sampled at rate 0.1 (fixed PRNG
+    seed), smaller tables are kept whole. *)
 
 val sampling_rate : t -> string -> float
 (** Rate used for one table. *)
@@ -38,12 +33,6 @@ val estimator : t -> Query.Query_graph.t -> Estimator.t
     resolve). *)
 
 val sampled_db : t -> Storage.Database.t
-(** The sampled sub-database itself — used by {!Core.Adaptive} to run
-    cheap plan probes. *)
-
-val rebind : t -> Query.Query_graph.t -> Query.Query_graph.t
-(** The same query graph over the sampled tables. *)
-
-val scale : t -> Query.Query_graph.t -> Util.Bitset.t -> float
-(** Inverse-rate scale factor for a relation subset of the given query:
-    multiply a sampled count by this to estimate the true count. *)
+(** The sampled sub-database. Sampled fact tables carry no key metadata,
+    since only exact counting runs on them; whole dimension tables are
+    the source's own. *)

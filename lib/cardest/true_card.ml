@@ -579,5 +579,3 @@ let base t r = card t (Bitset.singleton r)
 
 let estimator t =
   Estimator.of_function ~name:"true" ~base:(base t) (card t)
-
-let subset_count t = Array.length t.cards

@@ -38,6 +38,3 @@ val base : t -> int -> float
 val estimator : t -> Estimator.t
 (** The oracle "estimator" used for cardinality injection of true
     values. *)
-
-val subset_count : t -> int
-(** Number of connected subsets whose cardinality was computed. *)

@@ -81,7 +81,7 @@ let explain_analyze t ?(engine = Exec.Engine_config.robust) ?pool query choice =
         result.Exec.Executor.rows result.Exec.Executor.runtime_ms
         result.Exec.Executor.work engine.Exec.Engine_config.name
   in
-  tree ^ summary
+  (tree ^ summary, result)
 
 let plan_dot t query choice =
   let truth = Pipeline.truth_if_computed t query in

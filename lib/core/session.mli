@@ -1,7 +1,9 @@
 (** The library's front door: a database session that ties together the
     whole optimizer architecture of the paper's Figure 1 — cardinality
     estimation, cost model, and plan-space enumeration — over the
-    synthetic IMDB database, plus execution and cardinality injection.
+    synthetic IMDB database, plus execution and cardinality injection:
+    the ["true"] estimator injects every exact cardinality, and
+    {!Reopt.Feedback.overlay} injects observed ones per subset.
 
     A session is a thin veneer over {!Pipeline}: every estimator and
     plan request goes through the component registry ({!Registry}) and
@@ -112,10 +114,12 @@ val explain_analyze :
   ?pool:Util.Domain_pool.t ->
   query ->
   plan_choice ->
-  string
-(** EXPLAIN ANALYZE: execute, then render the plan with estimated and
-    exact cardinalities per operator plus a runtime summary. Computes the
-    exact cardinalities on first use. *)
+  string * Exec.Executor.result
+(** EXPLAIN ANALYZE: execute once, then render the plan with estimated
+    and exact cardinalities per operator plus a runtime summary. Returns
+    the rendering and the result it describes, so a caller that also
+    wants the answer (the MINs) need not run the query again. Computes
+    the exact cardinalities on first use. *)
 
 val plan_dot : t -> query -> plan_choice -> string
 (** GraphViz source for the chosen plan. *)

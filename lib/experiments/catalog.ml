@@ -56,8 +56,8 @@ let all =
     };
     {
       id = "extensions";
-      doc = "future-work implementations: join sampling, adaptive \
-             re-optimization";
+      doc = "future-work implementations: join sampling, the q-error \
+             plan-quality bound (runtime feedback: reopt)";
       render = Exp_extensions.render;
     };
     {

@@ -62,81 +62,6 @@ let join_sampling (h : Harness.t) =
             [ row "PostgreSQL" pg joins; row "join sampling" js joins ])))
 
 (* ------------------------------------------------------------------ *)
-(* Extension 2: adaptive re-optimization                               *)
-
-(* domlint: safe [R1] — constant bucket edges, never written *)
-let slowdown_buckets = [| 0.9; 1.1; 2.0; 10.0; 100.0 |]
-
-let bucket_labels =
-  [ "<0.9"; "[0.9,1.1)"; "[1.1,2)"; "[2,10)"; "[10,100)"; ">100" ]
-
-let adaptive (h : Harness.t) =
-  let engine = Exec.Engine_config.default_9_4 in
-  let model = Cost.Cost_model.postgres in
-  (* Every other query keeps the two full executions per query (one-shot
-     and adaptive, both under the stock engine) affordable. *)
-  let queries =
-    Array.to_list h.Harness.queries |> List.filteri (fun i _ -> i mod 2 = 0)
-  in
-  Harness.with_index_config h Storage.Database.Pk_only (fun () ->
-      let measure use_adaptive =
-        queries
-        |> Harness.par_map_list h (fun (q : Harness.qctx) ->
-               let est = Harness.estimator h q "PostgreSQL" in
-               let oracle = Harness.estimator h q "true" in
-               let optimal_plan, _ =
-                 Harness.plan_with h q ~est:oracle ~model
-                   ~allow_nl:engine.Exec.Engine_config.allow_nl_join ()
-               in
-               let baseline =
-                 Harness.execute h q ~plan:optimal_plan
-                   ~size_est:oracle.Cardest.Estimator.subset ~engine
-               in
-               let actual =
-                 if use_adaptive then
-                   (Core.Adaptive.run ~db:h.Harness.db ~graph:q.Harness.graph
-                      ~config:engine ~model ~estimator:est ())
-                     .Core.Adaptive.result
-                 else begin
-                   let plan, _ =
-                     Harness.plan_with h q ~est ~model
-                       ~allow_nl:engine.Exec.Engine_config.allow_nl_join ()
-                   in
-                   Harness.execute h q ~plan ~size_est:est.Cardest.Estimator.subset
-                     ~engine
-                 end
-               in
-               if actual.Exec.Executor.timed_out then
-                 float_of_int engine.Exec.Engine_config.work_limit
-                 /. Exec.Engine_config.work_units_per_ms
-                 /. Float.max 0.001 baseline.Exec.Executor.runtime_ms
-               else
-                 actual.Exec.Executor.runtime_ms
-                 /. Float.max 0.001 baseline.Exec.Executor.runtime_ms)
-      in
-      let fractions values =
-        let counts =
-          Util.Stat.bucketize ~edges:slowdown_buckets
-            (Array.of_list
-               (List.map (fun v -> if v = infinity then 1e9 else v) values))
-        in
-        Array.to_list
-          (Array.map (fun c -> Util.Stat.fraction c (List.length values)) counts)
-      in
-      let standard = fractions (measure false) in
-      let adaptive = fractions (measure true) in
-      Util.Render.table
-        ~title:
-          "Extension 2: adaptive re-optimization (probe bottom-most joins,\n\
-           inject observed cardinalities, re-plan; <= 3 probes). Slowdown vs\n\
-           the true-cardinality plan, PostgreSQL estimates, stock engine"
-        ~header:("optimizer" :: bucket_labels)
-        [
-          "one-shot (paper's setup)" :: List.map Util.Render.percent_cell standard;
-          "adaptive (3 probes)" :: List.map Util.Render.percent_cell adaptive;
-        ])
-
-(* ------------------------------------------------------------------ *)
 (* Extension 3: the q-error plan-quality bound, checked empirically    *)
 
 let qerror_bound (h : Harness.t) =
@@ -192,4 +117,4 @@ let qerror_bound (h : Harness.t) =
             Util.Render.float_cell (Util.Stat.median slack) ];
         ])
 
-let render h = join_sampling h ^ "\n" ^ adaptive h ^ "\n" ^ qerror_bound h
+let render h = join_sampling h ^ "\n" ^ qerror_bound h

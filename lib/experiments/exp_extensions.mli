@@ -9,15 +9,14 @@
     medians stay near 1 where the per-attribute estimators have
     collapsed.
 
-    Extension 2 — {b adaptive re-optimization} ({!Core.Adaptive}): probe
-    the plan's bottom-most joins, inject the observed cardinalities, and
-    re-plan (bounded rounds). Measured as the Section-4.1 slowdown
-    distribution, stock engine, against the same optimizer without
-    probing. *)
+    Extension 3 — the q-error plan-quality bound of the paper's
+    reference [30], checked empirically ({!Cardest.Qbound}).
+
+    The second route, runtime feedback into the optimizer, is
+    {!Reopt.Driver}'s checkpoint re-optimization, reported by
+    [jobench experiment reopt] ({!Exp_reopt}). *)
 
 val join_sampling : Harness.t -> string
-
-val adaptive : Harness.t -> string
 
 val qerror_bound : Harness.t -> string
 (** Empirical validation of the q^4 plan-quality guarantee of the

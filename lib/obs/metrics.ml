@@ -123,13 +123,3 @@ let dump () =
            | G g -> Level (Gauge.value g)
            | H h -> Dist (Hist.snapshot h) ))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_all () =
-  with_registry (fun tbl ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | C c -> Counter.reset c
-          | G g -> Gauge.reset g
-          | H h -> Hist.reset h)
-        tbl)

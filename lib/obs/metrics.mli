@@ -69,6 +69,3 @@ type value =
 val dump : unit -> (string * value) list
 (** Snapshot of every registered metric, sorted by name — the
     deterministic export order. *)
-
-val reset_all : unit -> unit
-(** Zero every registered metric (registration survives). *)

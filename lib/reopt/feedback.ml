@@ -16,10 +16,6 @@ let observed t s = Tbl.find_opt t.observed s
 
 let cardinal t = Tbl.length t.observed
 
-let observations t =
-  Tbl.fold (fun s c acc -> (s, c) :: acc) t.observed []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* Order-independent content digest: summing per-entry hashes makes the
    digest independent of the Hashtbl's iteration order, so an overlay's
    name — which downstream caches may key on — depends only on what was

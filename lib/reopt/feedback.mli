@@ -20,10 +20,6 @@ val observed : t -> Util.Bitset.t -> float option
 val cardinal : t -> int
 (** Number of distinct subgraphs observed. *)
 
-val observations : t -> (Util.Bitset.t * float) list
-(** All observations, sorted by subset — deterministic regardless of
-    observation order. *)
-
 val overlay : fallback:Cardest.Estimator.t -> t -> Cardest.Estimator.t
 (** An estimator answering exactly on the subsets observed {e so far}
     (snapshot semantics: later {!record} calls do not alter an existing

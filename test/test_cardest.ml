@@ -1,7 +1,7 @@
 (* Tests for cardinality estimation: the exact True_card oracle (checked
    against brute-force join counting on random databases, including
    cyclic queries), the compositional estimator framework, the PG-style
-   selectivity machinery, the five system emulations, and injection. *)
+   selectivity machinery, and the five system emulations. *)
 
 module QG = Query.Query_graph
 module Bitset = Util.Bitset
@@ -1181,42 +1181,6 @@ let test_matrix_pass_retention () =
   let mib = float_of_int (Obj.reachable_words (Obj.repr pipe) * (Sys.word_size / 8)) /. 1048576.0 in
   Alcotest.(check bool) (Printf.sprintf "pipeline holds %.2f MiB, under 6" mib) true (mib < 6.0)
 
-(* --- Injection ---------------------------------------------------------------------- *)
-
-let test_injection () =
-  let fallback =
-    Cardest.Estimator.of_function ~name:"fb" ~base:(fun _ -> 50.0) (fun _ -> 500.0)
-  in
-  let injected =
-    Cardest.Injection.create ~name:"inj" ~fallback
-      [ (Bitset.singleton 0, 7.0); (Bitset.of_list [ 0; 1 ], 77.0) ]
-  in
-  Alcotest.(check (Alcotest.float 0.0)) "override base" 7.0
-    (injected.Cardest.Estimator.base 0);
-  Alcotest.(check (Alcotest.float 0.0)) "fallback base" 50.0
-    (injected.Cardest.Estimator.base 1);
-  Alcotest.(check (Alcotest.float 0.0)) "override subset" 77.0
-    (injected.Cardest.Estimator.subset (Bitset.of_list [ 0; 1 ]));
-  Alcotest.(check (Alcotest.float 0.0)) "fallback subset" 500.0
-    (injected.Cardest.Estimator.subset (Bitset.of_list [ 1; 2 ]))
-
-let test_injection_of_estimator () =
-  let g = toy_graph () in
-  let source =
-    Cardest.Estimator.of_function ~name:"src" ~base:(fun _ -> 3.0) (fun _ -> 9.0)
-  in
-  let fallback =
-    Cardest.Estimator.of_function ~name:"fb" ~base:(fun _ -> 1.0) (fun _ -> 1.0)
-  in
-  let injected =
-    Cardest.Injection.of_estimator ~name:"mix" ~fallback ~source
-      ~subsets:[ QG.full_set g ]
-  in
-  Alcotest.(check (Alcotest.float 0.0)) "sourced" 9.0
-    (injected.Cardest.Estimator.subset (QG.full_set g));
-  Alcotest.(check (Alcotest.float 0.0)) "fallback" 1.0
-    (injected.Cardest.Estimator.subset (Bitset.singleton 1))
-
 let suite =
   [
     true_card_matches_brute_force;
@@ -1250,6 +1214,4 @@ let suite =
     Alcotest.test_case "sample bases = keep-every-sample reference" `Slow
       test_sample_bases_match_reference;
     Alcotest.test_case "matrix pass retention under 6 MiB" `Slow test_matrix_pass_retention;
-    Alcotest.test_case "injection" `Quick test_injection;
-    Alcotest.test_case "injection of estimator" `Quick test_injection_of_estimator;
   ]

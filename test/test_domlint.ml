@@ -440,8 +440,13 @@ let test_real_tree () =
   Alcotest.(check bool) "real lock graph is acyclic (R4 reported nothing)"
     true
     (not (has_pass r4 r));
-  Alcotest.(check bool) "lock graph saw the known nesting edges" true
-    (List.length r.Domlint.lock_edges >= 3)
+  (* The exact set: a lost edge means the graph went blind, a new one
+     is a lock nesting nobody has reviewed. *)
+  Alcotest.(check (list (pair string string)))
+    "lock graph has exactly the known nesting edges"
+    [ ("Database", "Once"); ("Harness", "Domain_pool") ]
+    (List.sort_uniq compare
+       (List.map (fun (a, b, _) -> (a, b)) r.Domlint.lock_edges))
 
 let suite =
   [

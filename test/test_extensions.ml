@@ -1,5 +1,5 @@
 (* Tests for the future-work extensions: the join-sampling estimator and
-   adaptive re-optimization. *)
+   the q-error plan-quality bound. *)
 
 module QG = Query.Query_graph
 module Bitset = Util.Bitset
@@ -88,48 +88,6 @@ let test_sample_estimator_sees_correlation () =
     true
     (q sample_est <= q pg_est)
 
-let test_adaptive_runs_and_is_exact () =
-  let database = Lazy.force db in
-  Storage.Database.set_index_config database Storage.Database.Pk_only;
-  let q = Workload.Job.find "2a" in
-  let b = Sqlfront.Binder.bind_sql database ~name:"2a" q.Workload.Job.sql in
-  let g = b.Sqlfront.Binder.graph in
-  let analyze = Dbstats.Analyze.create database in
-  let est =
-    Cardest.Systems.postgres analyze { Cardest.Systems.db = database; graph = g }
-  in
-  let outcome =
-    Core.Adaptive.run ~db:database ~graph:g ~config:Exec.Engine_config.robust
-      ~model:Cost.Cost_model.postgres ~estimator:est ()
-  in
-  let truth =
-    int_of_float (Cardest.True_card.card (Cardest.True_card.compute g) (QG.full_set g))
-  in
-  Alcotest.(check int) "exact rows" truth outcome.Core.Adaptive.result.Exec.Executor.rows;
-  Alcotest.(check bool) "probe accounting consistent" true
-    (outcome.Core.Adaptive.probe_work >= 0
-    && outcome.Core.Adaptive.probes <= 3
-    && (outcome.Core.Adaptive.probes > 0) = (outcome.Core.Adaptive.probe_work > 0))
-
-let test_adaptive_no_probes_when_confident () =
-  (* With the exact oracle as estimator nothing is suspicious, so the
-     adaptive layer must not probe at all. *)
-  let database = Lazy.force db in
-  Storage.Database.set_index_config database Storage.Database.Pk_only;
-  let b =
-    bind
-      "SELECT MIN(t.title) FROM title AS t, movie_keyword AS mk WHERE \
-       t.id = mk.movie_id AND t.production_year > 2000"
-  in
-  let g = b.Sqlfront.Binder.graph in
-  let oracle = Cardest.True_card.estimator (Cardest.True_card.compute g) in
-  let outcome =
-    Core.Adaptive.run ~db:database ~graph:g ~config:Exec.Engine_config.robust
-      ~model:Cost.Cost_model.postgres ~estimator:oracle ()
-  in
-  Alcotest.(check int) "no probes" 0 outcome.Core.Adaptive.probes;
-  Alcotest.(check int) "no probe work" 0 outcome.Core.Adaptive.probe_work
-
 let test_qbound () =
   Alcotest.(check (float 1e-9)) "bound math" 16.0
     (Cardest.Qbound.cost_ratio_bound ~q:2.0);
@@ -205,9 +163,6 @@ let suite =
     Alcotest.test_case "sampling unbiased" `Quick test_sample_estimator_unbiased_direction;
     Alcotest.test_case "sampling sees correlations" `Quick
       test_sample_estimator_sees_correlation;
-    Alcotest.test_case "adaptive exact" `Quick test_adaptive_runs_and_is_exact;
-    Alcotest.test_case "adaptive skips confident plans" `Quick
-      test_adaptive_no_probes_when_confident;
     Alcotest.test_case "q-bound basics" `Quick test_qbound;
     Alcotest.test_case "q-bound holds" `Quick test_qbound_holds_on_query;
     Alcotest.test_case "extensions render" `Quick test_extensions_render;

@@ -82,7 +82,7 @@ let test_session_explain_analyze () =
   let s = Lazy.force session in
   let q = Core.Session.job s "1b" in
   let choice = Core.Session.optimize s q in
-  let out = Core.Session.explain_analyze s q choice in
+  let out, result = Core.Session.explain_analyze s q choice in
   let has needle =
     let n = String.length needle in
     let found = ref false in
@@ -94,7 +94,10 @@ let test_session_explain_analyze () =
     !found
   in
   Alcotest.(check bool) "has true cards" true (has "true");
-  Alcotest.(check bool) "has runtime" true (has "simulated ms")
+  Alcotest.(check bool) "has runtime" true (has "simulated ms");
+  (* The summary describes the very run that is returned. *)
+  Alcotest.(check bool) "rendered row count is the result's" true
+    (has (Printf.sprintf "\n%d rows in " result.Exec.Executor.rows))
 
 let test_session_plan_dot () =
   let s = Lazy.force session in

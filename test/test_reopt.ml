@@ -47,6 +47,20 @@ let test_overlay_semantics () =
     (est.Cardest.Estimator.subset seen);
   Alcotest.(check (float 0.0)) "unobserved delegates" 1000.0
     (est.Cardest.Estimator.subset unseen);
+  (* A singleton observation overrides the base estimate of its
+     relation; an unobserved relation's base falls back. *)
+  Reopt.Feedback.record fb (Bitset.singleton 3) ~rows:9;
+  let with_base =
+    Reopt.Feedback.overlay
+      ~fallback:
+        (Cardest.Estimator.of_function ~name:"b" ~base:(fun _ -> 50.0)
+           (fun _ -> 500.0))
+      fb
+  in
+  Alcotest.(check (float 0.0)) "observed singleton overrides base" 9.0
+    (with_base.Cardest.Estimator.base 3);
+  Alcotest.(check (float 0.0)) "unobserved base falls back" 50.0
+    (with_base.Cardest.Estimator.base 4);
   (* Snapshot semantics: an overlay is frozen at creation. *)
   Reopt.Feedback.record fb unseen ~rows:3;
   Alcotest.(check (float 0.0)) "existing overlay unchanged" 1000.0
