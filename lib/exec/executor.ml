@@ -525,11 +525,13 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       for i = lo to hi - 1 do
         o.owk <- o.owk + 4; (* index descent: random access *)
         let key = outer_key_data b.data.((i * b.width) + outer_key_slot) in
-        if key <> null then begin
-          let matches = Storage.Index.lookup index key in
-          o.owk <- o.owk + Array.length matches;
-          for m = 0 to Array.length matches - 1 do
-            let inner_row = matches.(m) in
+        let slot = Storage.Index.slot index key in
+        if slot >= 0 then begin
+          let first = Storage.Index.first index slot
+          and stop = Storage.Index.stop index slot in
+          o.owk <- o.owk + (stop - first);
+          for p = first to stop - 1 do
+            let inner_row = Storage.Index.row index p in
             if pred inner_row && filters_pass b i inner_row then begin
               let base = out.nrows * width in
               gather out.data base b i opos;

@@ -2,7 +2,7 @@
     candidate join is costed.
 
     The index-nested-loop option exists only when the database's current
-    physical design provides a hash index on the inner base relation's
+    physical design provides an index on the inner base relation's
     join column — this is how the paper's "no / PK / PK+FK indexes"
     configurations reshape the search space. The (non-index) nested-loop
     option is the "risky" operator; Section 4.1 disables it. *)

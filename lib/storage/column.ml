@@ -155,12 +155,7 @@ let of_ints ~name values =
   make ~name ~ty:Value.Int_ty ~dict:None codes
 
 let of_strings ~name values =
-  let dict = Dict.create () in
-  let codes =
-    Array.map
-      (function Some s -> Dict.intern dict s | None -> Value.null_code)
-      values
-  in
+  let dict, codes = Dict.encode values in
   make ~name ~ty:Value.Str_ty ~dict:(Some dict) codes
 
 let of_codes ~name ~ty ?dict codes =

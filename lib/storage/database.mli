@@ -1,6 +1,6 @@
 (** The catalog: named tables plus the current physical design.
 
-    A physical design ([index_config]) determines which hash indexes
+    A physical design ([index_config]) determines which indexes
     exist. Index construction is cached per (table, column), so switching
     configurations back and forth during the experiments is cheap. *)
 

@@ -3,74 +3,75 @@
 type order = { sorted : int array; ranks : int array }
 
 type t = {
-  mutable strings : string array;
-  mutable count : int;
-  index : (string, int) Hashtbl.t;
-  mutable order : order option;  (** cached until the next new string *)
+  strings : string array;  (** exact size: [strings.(code)] *)
+  order : order Util.Once.t;  (** sorted on first demand *)
 }
 
-let create () =
-  { strings = Array.make 16 ""; count = 0; index = Hashtbl.create 64; order = None }
+(* Monomorphic string hashing and equality for the construction-local
+   intern table. *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
 
-let grow t =
-  let capacity = Array.length t.strings in
-  if t.count = capacity then begin
-    let bigger = Array.make (2 * capacity) "" in
-    Array.blit t.strings 0 bigger 0 capacity;
-    t.strings <- bigger
-  end
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
-let intern t s =
-  match Hashtbl.find_opt t.index s with
-  | Some code -> code
-  | None ->
-      grow t;
-      let code = t.count in
-      t.strings.(code) <- s;
-      t.count <- t.count + 1;
-      Hashtbl.add t.index s code;
-      t.order <- None;
-      code
+let sort_order strings () =
+  let sorted = Array.init (Array.length strings) Fun.id in
+  (* Merge sort: fewer string comparisons than the heapsort of
+     [Array.sort]. The strings are distinct, so the order is total. *)
+  Array.stable_sort (fun a b -> String.compare strings.(a) strings.(b)) sorted;
+  let ranks = Array.make (Array.length strings) 0 in
+  Array.iteri (fun r c -> ranks.(c) <- r) sorted;
+  { sorted; ranks }
 
-let find_opt t s = Hashtbl.find_opt t.index s
+let encode values =
+  let table = Tbl.create 64 in
+  let codes =
+    Array.map
+      (function
+        | None -> Value.null_code
+        | Some s -> (
+            match Tbl.find table s with
+            | code -> code
+            | exception Not_found ->
+                let code = Tbl.length table in
+                Tbl.add table s code;
+                code))
+      values
+  in
+  let strings = Array.make (Tbl.length table) "" in
+  Tbl.iter (fun s code -> strings.(code) <- s) table;
+  ({ strings; order = Util.Once.make (sort_order strings) }, codes)
 
 let get t code =
-  if code < 0 || code >= t.count then invalid_arg "Dict.get: unknown code";
+  if code < 0 || code >= Array.length t.strings then invalid_arg "Dict.get: unknown code";
   t.strings.(code)
 
-let size t = t.count
+let size t = Array.length t.strings
 
-let iter f t =
-  for code = 0 to t.count - 1 do
-    f code t.strings.(code)
-  done
+let iter f t = Array.iteri f t.strings
 
-let matching_codes t p =
-  let bitmap = Array.make t.count false in
-  iter (fun code s -> if p s then bitmap.(code) <- true) t;
-  bitmap
+let matching_codes t p = Array.map p t.strings
 
-(* Two domains that race here both sort and store equal arrays. *)
-let order t =
-  match t.order with
-  | Some o -> o
-  | None ->
-      let sorted = Array.init t.count (fun c -> c) in
-      Array.stable_sort (fun a b -> String.compare t.strings.(a) t.strings.(b)) sorted;
-      let ranks = Array.make t.count 0 in
-      Array.iteri (fun r c -> ranks.(c) <- r) sorted;
-      let o = { sorted; ranks } in
-      t.order <- Some o;
-      o
+let order t = Util.Once.force t.order
 
 let ranks t = (order t).ranks
 
-let count_below t s =
-  let sorted = (order t).sorted in
-  (* The first rank whose string is >= s. *)
+(* The first rank whose string is >= s. *)
+let lower_bound t sorted s =
   let lo = ref 0 and hi = ref (Array.length sorted) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if String.compare t.strings.(sorted.(mid)) s < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
+
+let count_below t s = lower_bound t (order t).sorted s
+
+let find_opt t s =
+  let sorted = (order t).sorted in
+  let rank = lower_bound t sorted s in
+  if rank < Array.length sorted && String.equal t.strings.(sorted.(rank)) s then
+    Some sorted.(rank)
+  else None

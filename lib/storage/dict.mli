@@ -1,24 +1,27 @@
 (** Per-column string dictionaries.
 
-    Codes are dense integers assigned in insertion order; comparisons and
+    Codes are dense integers assigned in first-seen order; comparisons and
     joins run on codes, while pattern predicates (LIKE) are compiled once
-    into a set of matching codes by scanning the dictionary. *)
+    into a set of matching codes by scanning the dictionary. A dictionary
+    is immutable: it keeps its strings in an exact-size array and, once
+    demanded, their lexicographic order, and no hash table. *)
 
 type t
 
-val create : unit -> t
-
-val intern : t -> string -> int
-(** Code for the string, allocating a fresh code on first sight. *)
+val encode : string option array -> t * int array
+(** [encode values] is the dictionary of the distinct strings of
+    [values], coded [0, 1, ...] in the order they first appear, with each
+    value's code ([Value.null_code] for [None]). *)
 
 val find_opt : t -> string -> int option
-(** Code if the string is already interned. *)
+(** Code of the string, if the dictionary holds it (binary search over
+    the lexicographic order, sorted on first demand). *)
 
 val get : t -> int -> string
-(** Inverse of [intern]. Raises [Invalid_argument] on unknown codes. *)
+(** Inverse of the codes. Raises [Invalid_argument] on unknown codes. *)
 
 val size : t -> int
-(** Number of distinct interned strings. *)
+(** Number of distinct strings. *)
 
 val iter : (int -> string -> unit) -> t -> unit
 (** Visit every (code, string) pair. *)
@@ -29,10 +32,10 @@ val matching_codes : t -> (string -> bool) -> bool array
 
 val ranks : t -> int array
 (** [ranks d].(code) is the code's rank in lexicographic ([String.compare])
-    order of the dictionary's strings. Sorted on first demand, then shared
-    until the next new string is interned: the array must not be mutated.
-    ANALYZE demands it only when an order predicate first reads a string
-    column's statistics, so most dictionaries are never sorted. *)
+    order of the dictionary's strings. Sorted once, on the first demand of
+    [ranks], [find_opt] or [count_below], then shared: the array must not
+    be mutated. Equality literals and order predicates demand it, so a
+    dictionary that no predicate reads is never sorted. *)
 
 val count_below : t -> string -> int
 (** Number of dictionary strings strictly smaller than the given one

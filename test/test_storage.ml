@@ -1,15 +1,15 @@
-(* Tests for the storage library: dictionaries, columns, tables, hash
+(* Tests for the storage library: dictionaries, columns, tables,
    indexes, and the catalog with its physical-design switching. *)
 
 let check = Alcotest.check
 
 (* --- Dict --------------------------------------------------------------- *)
 
+let dict_of strings = Storage.Dict.encode (Array.of_list (List.map Option.some strings))
+
 let test_dict_roundtrip () =
-  let d = Storage.Dict.create () in
-  let a = Storage.Dict.intern d "alpha" in
-  let b = Storage.Dict.intern d "beta" in
-  let a' = Storage.Dict.intern d "alpha" in
+  let d, codes = dict_of [ "alpha"; "beta"; "alpha" ] in
+  let a = codes.(0) and b = codes.(1) and a' = codes.(2) in
   check Alcotest.int "stable code" a a';
   Alcotest.(check bool) "codes differ" true (a <> b);
   check Alcotest.string "decode" "beta" (Storage.Dict.get d b);
@@ -18,23 +18,98 @@ let test_dict_roundtrip () =
   check Alcotest.(option int) "find missing" None (Storage.Dict.find_opt d "gamma")
 
 let test_dict_get_invalid () =
-  let d = Storage.Dict.create () in
+  let d, _ = dict_of [] in
   Alcotest.check_raises "unknown code" (Invalid_argument "Dict.get: unknown code")
     (fun () -> ignore (Storage.Dict.get d 3))
 
 let test_dict_matching_codes () =
-  let d = Storage.Dict.create () in
-  List.iter (fun s -> ignore (Storage.Dict.intern d s)) [ "cat"; "car"; "dog" ];
+  let d, _ = dict_of [ "cat"; "car"; "dog" ] in
   let bitmap = Storage.Dict.matching_codes d (fun s -> s.[0] = 'c') in
   check Alcotest.(array bool) "c-prefixed" [| true; true; false |] bitmap
 
+(* A dictionary holds its strings in an exact-size array and no intern
+   table: beyond the strings and one word per code, it retains the same
+   words for 1000 strings as for one. *)
 let test_dict_growth () =
-  let d = Storage.Dict.create () in
-  for i = 0 to 999 do
-    ignore (Storage.Dict.intern d (string_of_int i))
-  done;
+  let overhead n =
+    let strings = List.init (2 * n) (fun i -> string_of_int (i mod n)) in
+    let d, _ = dict_of strings in
+    let payload =
+      List.fold_left (fun acc code -> acc + 1 + Obj.reachable_words (Obj.repr (Storage.Dict.get d code)))
+        0 (List.init (Storage.Dict.size d) Fun.id)
+    in
+    (d, Obj.reachable_words (Obj.repr d) - payload)
+  in
+  let d, words = overhead 1000 in
   check Alcotest.int "1000 distinct" 1000 (Storage.Dict.size d);
-  check Alcotest.string "decode mid" "517" (Storage.Dict.get d 517)
+  check Alcotest.string "decode mid" "517" (Storage.Dict.get d 517);
+  check Alcotest.int "exact size: overhead of 1000 strings = of one" (snd (overhead 1)) words
+
+let dict_intern_roundtrip =
+  Support.qcheck_case ~name:"dict intern/get roundtrip"
+    QCheck.(small_list (string_of_size (QCheck.Gen.int_range 0 12)))
+    (fun strings ->
+      let d, codes = dict_of strings in
+      List.for_all2 (fun s c -> Storage.Dict.get d c = s) strings (Array.to_list codes)
+      && Storage.Dict.size d = List.length (List.sort_uniq compare strings))
+
+(* Strings built from tokens that share prefixes, include the empty
+   string, a NUL and non-ASCII bytes, and repeat often. *)
+let dict_cells =
+  let token = QCheck.Gen.oneofl [ "a"; "ab"; "b"; "\xc3\xa9"; "\xff"; "\x00"; "z" ] in
+  let str = QCheck.Gen.(map (String.concat "") (list_size (int_range 0 3) token)) in
+  let cell = QCheck.Gen.(frequency [ (1, return None); (6, map Option.some str) ]) in
+  QCheck.make
+    ~print:QCheck.Print.(array (option string))
+    QCheck.Gen.(array_size (int_range 0 40) cell)
+
+(* Codes in first-seen order that [get] inverts; [find_opt] against a
+   [Hashtbl], for present strings and for absent ones below, between and
+   above them; [ranks] and [count_below] against a sorted list. *)
+let dict_matches_references =
+  Support.qcheck_case ~count:200 ~name:"dict codes, find_opt, ranks = references" dict_cells
+    (fun cells ->
+      let d, codes = Storage.Dict.encode cells in
+      let reference = Hashtbl.create 16 in
+      Array.iter
+        (function
+          | Some s when not (Hashtbl.mem reference s) -> Hashtbl.add reference s (Hashtbl.length reference)
+          | _ -> ())
+        cells;
+      let sorted = List.sort String.compare (Hashtbl.fold (fun s _ acc -> s :: acc) reference []) in
+      let present = List.map fst (Hashtbl.fold (fun s c acc -> (s, c) :: acc) reference []) in
+      let probes =
+        ("" :: String.make 9 '\xff' :: present)
+        @ List.concat_map
+            (fun s ->
+              let n = String.length s in
+              (s ^ "\x00") :: (s ^ "a") :: (if n = 0 then [] else [ String.sub s 0 (n - 1) ]))
+            present
+      in
+      let below s = List.length (List.filter (fun e -> String.compare e s < 0) sorted) in
+      let ranks = Storage.Dict.ranks d in
+      Array.for_all2
+        (fun cell code ->
+          match cell with
+          | None -> code = Storage.Value.null_code
+          | Some s -> code = Hashtbl.find reference s && Storage.Dict.get d code = s)
+        cells codes
+      && Storage.Dict.size d = Hashtbl.length reference
+      && List.for_all
+           (fun s -> Storage.Dict.find_opt d s = Hashtbl.find_opt reference s)
+           probes
+      && List.for_all (fun s -> Storage.Dict.count_below d s = below s) probes
+      && List.for_all (fun s -> ranks.(Hashtbl.find reference s) = below s) present)
+
+let test_dict_empty () =
+  List.iter
+    (fun cells ->
+      let d, _ = Storage.Dict.encode cells in
+      check Alcotest.int "size" 0 (Storage.Dict.size d);
+      check Alcotest.(option int) "find" None (Storage.Dict.find_opt d "");
+      check Alcotest.int "count_below" 0 (Storage.Dict.count_below d "a");
+      check Alcotest.(array int) "ranks" [||] (Storage.Dict.ranks d))
+    [ [||]; [| None; None |] ]
 
 (* --- Column -------------------------------------------------------------- *)
 
@@ -111,49 +186,172 @@ let test_table_validations () =
 
 (* --- Index ------------------------------------------------------------------ *)
 
+(* The rows an index holds for a key, in its own order. *)
+let rows_of idx key =
+  let slot = Storage.Index.slot idx key in
+  if slot < 0 then []
+  else
+    let first = Storage.Index.first idx slot in
+    List.init (Storage.Index.stop idx slot - first) (fun k -> Storage.Index.row idx (first + k))
+
+(* For every key of [codes], each one's neighbours, NULL and the int
+   extremes: the index finds exactly the rows holding the key, in
+   ascending order, and [count] agrees. *)
+let index_law codes idx =
+  let null = Storage.Value.null_code in
+  let brute key =
+    List.filter (fun row -> key <> null && codes.(row) = key) (List.init (Array.length codes) Fun.id)
+  in
+  let probes =
+    [ null; min_int + 1; max_int; 0; 1 ]
+    @ List.concat_map (fun k -> [ k - 1; k; k + 1 ]) (Array.to_list codes)
+  in
+  List.for_all
+    (fun key ->
+      let found = rows_of idx key in
+      found = brute key && Storage.Index.count idx key = List.length found)
+    probes
+
+let index_of cells =
+  Storage.Index.build
+    (Storage.Table.create ~name:"q" [| Storage.Column.of_ints ~name:"k" cells |])
+    ~col:0
+
 let test_index_lookup () =
   let t = mk_table () in
   let idx = Storage.Index.build t ~col:1 in
-  check Alcotest.(array int) "two matches" [| 0; 2 |]
-    (let a = Array.copy (Storage.Index.lookup idx 9) in
-     Array.sort compare a;
-     a);
-  check Alcotest.(array int) "no match" [||] (Storage.Index.lookup idx 5);
-  check Alcotest.int "count" 2 (Storage.Index.count idx 9);
-  check Alcotest.int "distinct keys (nulls excluded)" 1 (Storage.Index.distinct_keys idx)
+  check Alcotest.(list int) "two matches" [ 0; 2 ] (rows_of idx 9);
+  check Alcotest.(list int) "no match" [] (rows_of idx 5);
+  check Alcotest.int "count" 2 (Storage.Index.count idx 9)
+
+(* Key columns of every shape an index meets: identities (the generated
+   primary keys) from 1, from other bases and up to [max_int], and
+   columns that are not one. *)
+let index_columns prng =
+  let n = 1 + Util.Prng.int prng 60 in
+  let ids base = Array.init n (fun r -> Some (base + r)) in
+  let permuted =
+    let a = ids 1 in
+    Util.Prng.shuffle prng a;
+    a
+  in
+  let random f = Array.init n (fun _ -> f ()) in
+  [
+    ("identity from 1", ids 1);
+    ("identity from -7", ids (-7));
+    ("identity from 10^12", ids 1_000_000_000_000);
+    ("identity up to max_int", ids (max_int - n + 1));
+    ("permuted ids", permuted);
+    ("ids with a gap", Array.mapi (fun r v -> if r = n - 1 then Some (n + 5) else v) (ids 1));
+    ("duplicate keys", random (fun () -> Some (1 + Util.Prng.int prng 5)));
+    ("NULLs", random (fun () -> if Util.Prng.chance prng 0.3 then None else Some (Util.Prng.int prng 10)));
+    ("NULL before an identity", Array.mapi (fun r v -> if r = 0 then None else v) (ids 1));
+    ("negative codes", random (fun () -> Some (Util.Prng.int prng 20 - 15)));
+    ( "keys 10^12 apart",
+      random (fun () -> Some ((Util.Prng.int prng 7 - 3) * 1_000_000_000_000)) );
+    ("empty", [||]);
+  ]
 
 let index_matches_scan =
-  Support.qcheck_case ~name:"index lookup equals full scan" QCheck.small_int
-    (fun seed ->
-      let prng = Util.Prng.create seed in
-      let data =
-        Array.init 200 (fun _ ->
-            if Util.Prng.chance prng 0.1 then None
-            else Some (Util.Prng.int prng 20))
-      in
-      let t =
-        Storage.Table.create ~name:"q"
-          [| Storage.Column.of_ints ~name:"k" data |]
-      in
-      let idx = Storage.Index.build t ~col:0 in
+  Support.qcheck_case ~count:50 ~name:"index lookup equals full scan"
+    QCheck.small_int (fun seed ->
       List.for_all
-        (fun key ->
-          let via_index = List.sort compare (Array.to_list (Storage.Index.lookup idx key)) in
-          let via_scan =
-            Array.to_list data
-            |> List.mapi (fun i v -> (i, v))
-            |> List.filter_map (fun (i, v) -> if v = Some key then Some i else None)
-          in
-          via_index = via_scan)
-        [ 0; 1; 5; 19 ])
+        (fun (_, cells) ->
+          let codes = Array.map (Option.value ~default:Storage.Value.null_code) cells in
+          index_law codes (index_of cells))
+        (index_columns (Util.Prng.create seed)))
 
-let test_index_average_fanout () =
-  let t =
-    Storage.Table.create ~name:"f"
-      [| Storage.Column.of_ints ~name:"k" [| Some 1; Some 1; Some 2; None |] |]
-  in
-  let idx = Storage.Index.build t ~col:0 in
-  Alcotest.check (Alcotest.float 1e-9) "fanout" 1.5 (Storage.Index.average_fanout idx)
+(* A micro database whose ids are spread a million apart in descending
+   row order (foreign keys follow), written to CSV and loaded back. *)
+let sparse_csv_db seed =
+  let prng = Util.Prng.create seed in
+  let db = Support.micro_db prng ~tables:3 ~rows:25 in
+  let dir = Filename.temp_file "sparseids" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let loaded = Storage.Database.create () in
+  List.iter
+    (fun name ->
+      let t = Storage.Database.find_table db name in
+      let spread column =
+        let name = Storage.Column.name column in
+        if name = "v" then column
+        else
+          Storage.Column.of_ints ~name
+            (Array.map
+               (fun code ->
+                 if code = Storage.Value.null_code then None else Some (1_000_000 * (26 - code)))
+               (Storage.Column.to_codes column))
+      in
+      let col_name c = Storage.Column.name (Storage.Table.column t c) in
+      let fks = List.map col_name (Storage.Table.fks t) in
+      let path = Filename.concat dir (name ^ ".csv") in
+      Storage.Csv.export
+        (Storage.Table.create ~name ~pk:"id" ~fks (Array.map spread (Storage.Table.columns t)))
+        ~path;
+      Storage.Database.add_table loaded
+        (Storage.Csv.import ~name ~pk:"id" ~fks
+           ~columns:
+             (Array.to_list
+                (Array.map
+                   (fun c -> { Storage.Csv.name = Storage.Column.name c; ty = Storage.Value.Int_ty })
+                   (Storage.Table.columns t)))
+           ~path ());
+      Sys.remove path)
+    (Storage.Database.table_names db);
+  Sys.rmdir dir;
+  loaded
+
+(* Under PK+FK, every index of the CSV-loaded database matches a brute
+   force, and a left-deep chain of index-NL joins counts what a
+   brute-force join counts. *)
+let test_index_csv_sparse_ids () =
+  for seed = 1 to 5 do
+    let db = sparse_csv_db seed in
+    Storage.Database.set_index_config db Storage.Database.Pk_fk;
+    List.iter
+      (fun name ->
+        let t = Storage.Database.find_table db name in
+        List.iter
+          (fun col ->
+            let codes = Storage.Column.to_codes (Storage.Table.column t col) in
+            match Storage.Database.index db ~table:name ~col with
+            | Some idx ->
+                Alcotest.(check bool) (Printf.sprintf "seed %d: %s.%d" seed name col) true
+                  (index_law codes idx)
+            | None -> Alcotest.failf "%s.%d: no index under PK+FK" name col)
+          (Option.to_list (Storage.Table.pk t) @ Storage.Table.fks t))
+      (Storage.Database.table_names db);
+    let g = Support.micro_query (Util.Prng.create seed) db ~relations:3 ~extra_edges:1 in
+    let plan =
+      List.fold_left
+        (fun outer r -> Plan.join Plan.Index_nl_join ~outer ~inner:(Plan.scan r))
+        (Plan.scan 0) [ 1; 2 ]
+    in
+    let result =
+      Exec.Executor.run ~db ~graph:g ~config:Exec.Engine_config.robust
+        ~size_est:(fun _ -> 64.0) plan
+    in
+    check Alcotest.int (Printf.sprintf "seed %d: index-NL rows" seed)
+      (Support.brute_force_count g (Query.Query_graph.full_set g))
+      result.Exec.Executor.rows
+  done
+
+(* The words a freshly generated database retains with its 21 PK indexes
+   built: 62,810 with identity PK indexes and dictionaries without intern
+   tables, against 248,729 with a hash table per index and per
+   dictionary. Under OCaml 5's GC pacing, retained words set peak RSS. *)
+let test_database_retained_words () =
+  let db = Support.fresh_imdb ~seed:42 ~scale:0.001 () in
+  List.iter
+    (fun table ->
+      match Storage.Table.pk (Storage.Database.find_table db table) with
+      | Some col -> ignore (Storage.Database.index db ~table ~col)
+      | None -> ())
+    (Storage.Database.table_names db);
+  let words = Obj.reachable_words (Obj.repr db) and bound = 64_000 in
+  Alcotest.(check bool) (Printf.sprintf "database retains %d words, under %d" words bound) true
+    (words < bound)
 
 (* --- Database ------------------------------------------------------------------ *)
 
@@ -184,15 +382,6 @@ let test_database_index_config () =
   Alcotest.(check bool) "pk: fk no" false (has 1);
   Storage.Database.set_index_config db Storage.Database.Pk_fk;
   Alcotest.(check bool) "pkfk: fk yes" true (has 1)
-
-let dict_intern_roundtrip =
-  Support.qcheck_case ~name:"dict intern/get roundtrip"
-    QCheck.(small_list (string_of_size (QCheck.Gen.int_range 0 12)))
-    (fun strings ->
-      let d = Storage.Dict.create () in
-      let codes = List.map (Storage.Dict.intern d) strings in
-      List.for_all2 (fun s c -> Storage.Dict.get d c = s) strings codes
-      && Storage.Dict.size d = List.length (List.sort_uniq compare strings))
 
 let column_value_roundtrip =
   Support.qcheck_case ~name:"column stores and decodes values"
@@ -416,6 +605,8 @@ let suite =
     Alcotest.test_case "dict invalid code" `Quick test_dict_get_invalid;
     Alcotest.test_case "dict matching codes" `Quick test_dict_matching_codes;
     Alcotest.test_case "dict growth" `Quick test_dict_growth;
+    dict_matches_references;
+    Alcotest.test_case "dict empty" `Quick test_dict_empty;
     Alcotest.test_case "column ints" `Quick test_column_ints;
     Alcotest.test_case "column strings" `Quick test_column_strings;
     Alcotest.test_case "column encode mismatch" `Quick test_column_encode_mismatch;
@@ -423,7 +614,10 @@ let suite =
     Alcotest.test_case "table validations" `Quick test_table_validations;
     Alcotest.test_case "index lookup" `Quick test_index_lookup;
     index_matches_scan;
-    Alcotest.test_case "index fanout" `Quick test_index_average_fanout;
+    Alcotest.test_case "index on CSV-loaded sparse ids under PK+FK" `Quick
+      test_index_csv_sparse_ids;
+    Alcotest.test_case "database retained words with PK indexes" `Quick
+      test_database_retained_words;
     Alcotest.test_case "database catalog" `Quick test_database_catalog;
     Alcotest.test_case "database index config" `Quick test_database_index_config;
     encoding_roundtrip_random;
