@@ -15,18 +15,19 @@ exception Timeout
    scheduled, pushed and budget-checked in. *)
 let chunk = 4096
 
-(* Words per staging segment of the materializing sink. Each worker
-   that stages zeroes at least one segment per query, so they stay
-   small: at 16 K words serve-zipf's scan self time doubled. *)
-let seg_words = 4096
+(* Slots per staging segment of the materializing sink. Each worker
+   that stages allocates at least one segment per query, so they stay
+   small. *)
+let seg_slots = 4096
 
 (* Row-major tuple store: materialized intermediates, and the
-   [chunk]-row buffers pipeline stages emit into. *)
+   [chunk]-row buffers pipeline stages emit into. A slot is a row id at
+   four bytes. *)
 type batch = {
   rels : int array;
   slots : int array;  (* relation index -> slot, -1 when absent *)
   width : int;
-  data : int array;
+  data : Rowbuf.t;
   mutable nrows : int;
 }
 
@@ -80,10 +81,10 @@ let positions ~out src =
 
 (* Copy the slots at [pos] of row [row] of [src] into [dst] from [at]. *)
 let gather dst at (src : batch) row pos =
-  let base = row * src.width in
-  for k = 0 to Array.length pos - 1 do
-    dst.(at + k) <- src.data.(base + pos.(k))
-  done
+  Rowbuf.gather dst at src.data (row * src.width) pos
+
+(* {!Rowbuf.get}, inline: the id in slot [i] of a batch's data. *)
+let[@inline] row_id data i = Int32.to_int (Rowbuf.get32 data (4 * i))
 
 let null = Storage.Value.null_code
 
@@ -117,32 +118,33 @@ let phase_of (p : Plan.t) =
 (* Per-slot scratch for morsel phases. A slot is owned by at most one
    running worker at a time ({!Util.Domain_pool.run_workers}'s
    contract), so nothing here is locked. [wsegs] is the materializing
-   sink's staging area: [seg_words]-word segments, appended and never
-   regrown, holding the slot's output of the phase as one word stream;
+   sink's staging area: [seg_slots]-slot segments, appended and never
+   regrown, holding the slot's output of the phase as one slot stream;
    the caller copies each morsel's run of it into the stored batch in
    morsel-index order, which is what makes materialized batches
    independent of how many slots ran the pipeline. *)
 type wstate = {
   wslot : int;
-  mutable wsegs : int array array;
-  mutable wlen : int; (* words staged in the current phase *)
+  mutable wsegs : Rowbuf.t array;
+  mutable wlen : int; (* slots staged in the current phase *)
   wsel : int array; (* scan selection-vector scratch *)
+  wscan : Rowbuf.t; (* the selected rows, as the scan's output batch *)
   mutable wfill : (int array -> int -> int -> int) option;
       (* per-phase selector instance (owns mutable decode scratch) *)
   mutable wclaims : int; (* morsels claimed in the current phase *)
 }
 
-(* Cut words [off, off + len) of [w]'s staging into runs that each lie
+(* Cut slots [off, off + len) of [w]'s staging into runs that each lie
    in one segment, appending segments as staging reaches them:
-   [f seg at k n] for the [n] words at [seg.(at)], the [k]-th word of
-   the range onwards. *)
+   [f seg at k n] for the [n] slots at [seg]'s slot [at], the [k]-th
+   slot of the range onwards. *)
 let seg_runs w off len f =
   let k = ref 0 in
   while !k < len do
-    let s = (off + !k) / seg_words and at = (off + !k) mod seg_words in
+    let s = (off + !k) / seg_slots and at = (off + !k) mod seg_slots in
     if s = Array.length w.wsegs then
-      w.wsegs <- Array.append w.wsegs [| Array.make seg_words 0 |];
-    let n = min (len - !k) (seg_words - at) in
+      w.wsegs <- Array.append w.wsegs [| Rowbuf.create seg_slots |];
+    let n = min (len - !k) (seg_slots - at) in
     f w.wsegs.(s) at !k n;
     k := !k + n
   done
@@ -185,35 +187,45 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     Storage.Column.reader (Storage.Table.column (QG.relation graph rel).QG.table col)
   in
 
-  (* Scratch pool: int arrays retired by consumed intermediate batches
-     (and key/selection/stage buffers), reused best-fit for the next
-     one. A bushy plan stops reallocating its working set once the first
-     few joins have sized it. Arrays are never zeroed on reuse — every
-     consumer writes before it reads. Only the calling domain touches
-     the pool (pipelines set up and tear down there). *)
-  let scratch = ref [] in
-  let pool_acquire min_len =
-    let best =
-      List.fold_left
-        (fun best a ->
-          let n = Array.length a in
-          if n >= min_len
-             && (match best with Some b -> n < Array.length b | None -> true)
-          then Some a
-          else best)
-        None !scratch
+  (* Scratch pools: row buffers retired by consumed intermediate
+     batches and stage buffers, and the merge join's full-width key
+     arrays, each reused best-fit for the next one. A bushy plan stops
+     reallocating its working set once the first few joins have sized
+     it. Buffers are never cleared on reuse — every consumer writes
+     before it reads. Only the calling domain touches the pools
+     (pipelines set up and tear down there). *)
+  let scratch ~length ~make =
+    let free = ref [] in
+    let acquire min_len =
+      let best =
+        List.fold_left
+          (fun best a ->
+            let n = length a in
+            if n >= min_len
+               && (match best with Some b -> n < length b | None -> true)
+            then Some a
+            else best)
+          None !free
+      in
+      match best with
+      | Some a ->
+          free := List.filter (fun b -> b != a) !free;
+          a
+      | None -> make (max 1024 min_len)
     in
-    match best with
-    | Some a ->
-        scratch := List.filter (fun b -> b != a) !scratch;
-        a
-    | None -> Array.make (max 1024 min_len) 0
+    let release a = if length a >= 1024 then free := a :: !free in
+    (acquire, release)
   in
-  let pool_release a = if Array.length a >= 1024 then scratch := a :: !scratch in
-  let retire b = pool_release b.data in
+  let rows_acquire, rows_release =
+    scratch ~length:Rowbuf.length ~make:Rowbuf.create
+  in
+  let keys_acquire, keys_release =
+    scratch ~length:Array.length ~make:(fun n -> Array.make n 0)
+  in
+  let retire b = rows_release b.data in
 
   (* A [chunk]-row buffer: what a stage emits into. *)
-  let chunk_batch rels = batch_of rels (pool_acquire (Array.length rels * chunk)) 0 in
+  let chunk_batch rels = batch_of rels (rows_acquire (Array.length rels * chunk)) 0 in
 
   (* Join-key accessors per edge, preextracted into flat parallel arrays
      (slot and column data) for a tuple layout, so the per-row key loop
@@ -242,7 +254,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     let ok = ref true in
     for k = 0 to Array.length slots - 1 do
       let v =
-        (Array.unsafe_get datas k) (batch.data.(base + Array.unsafe_get slots k))
+        (Array.unsafe_get datas k)
+          (row_id batch.data (base + Array.unsafe_get slots k))
       in
       if v = null then ok := false else h := Join_table.combine !h v
     done;
@@ -261,8 +274,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     let obase = i * outer.width and ibase = j * inner.width in
     let k = ref 0 and eq = ref true in
     while !eq && !k < Array.length oslots do
-      let ov = odatas.(!k) outer.data.(obase + oslots.(!k)) in
-      let iv = idatas.(!k) inner.data.(ibase + islots.(!k)) in
+      let ov = odatas.(!k) (row_id outer.data (obase + oslots.(!k))) in
+      let iv = idatas.(!k) (row_id inner.data (ibase + islots.(!k))) in
       eq := ov = iv && ov <> null;
       incr k
     done;
@@ -296,6 +309,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           wsegs = [||];
           wlen = 0;
           wsel = Array.make chunk 0;
+          wscan = Rowbuf.create chunk;
           wfill = None;
           wclaims = 0;
         })
@@ -340,18 +354,18 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     work := !work + Morsel.total phase_work
   in
   (* Store what the slots staged as a batch of layout [rels]: one
-     exact-size array, into which morsel [m]'s [m_cnt.(m)] words are
+     exact-size buffer, into which morsel [m]'s [m_cnt.(m)] slots are
      copied from slot [m_src.(m)]'s staging at [m_off.(m)], in morsel
      order. Each slot then keeps at most its first segment, so no slot
      holds a phase's high-water mark into the next. *)
   let assemble rels m_src m_off m_cnt =
-    let data = Array.make (Array.fold_left ( + ) 0 m_cnt) 0 in
+    let data = Rowbuf.create (Array.fold_left ( + ) 0 m_cnt) in
     let at = ref 0 in
     Array.iteri
       (fun m cnt ->
         let base = !at in
         seg_runs workers.(m_src.(m)) m_off.(m) cnt (fun seg o k n ->
-            Array.blit seg o data (base + k) n);
+            Rowbuf.blit seg o data (base + k) n);
         at := base + cnt)
       m_cnt;
     Array.iter
@@ -513,7 +527,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       let base = i * b.width in
       let k = ref 0 and pass = ref true in
       while !pass && !k < nf do
-        let ov = f_odatas.(!k) b.data.(base + f_oslots.(!k)) in
+        let ov = f_odatas.(!k) (row_id b.data (base + f_oslots.(!k))) in
         pass := ov <> null && ov = f_idatas.(!k) inner_row;
         incr k
       done;
@@ -524,7 +538,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
       let out = o.ob in
       for i = lo to hi - 1 do
         o.owk <- o.owk + 4; (* index descent: random access *)
-        let key = outer_key_data b.data.((i * b.width) + outer_key_slot) in
+        let key = outer_key_data (row_id b.data ((i * b.width) + outer_key_slot)) in
         let slot = Storage.Index.slot index key in
         if slot >= 0 then begin
           let first = Storage.Index.first index slot
@@ -535,7 +549,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
             if pred inner_row && filters_pass b i inner_row then begin
               let base = out.nrows * width in
               gather out.data base b i opos;
-              if keep_inner then out.data.(base + ow) <- inner_row;
+              if keep_inner then Rowbuf.set out.data (base + ow) inner_row;
               out.nrows <- out.nrows + 1;
               o.orows <- o.orows + 1;
               o.owk <- o.owk + 1;
@@ -580,7 +594,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
      segments; [assemble] stores them by morsel index. *)
   let stage w (b : batch) lo hi =
     let pos = lo * b.width and len = (hi - lo) * b.width in
-    seg_runs w w.wlen len (fun seg at k n -> Array.blit b.data (pos + k) seg at n);
+    seg_runs w w.wlen len (fun seg at k n -> Rowbuf.blit b.data (pos + k) seg at n);
     w.wlen <- w.wlen + len
   in
 
@@ -592,13 +606,14 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     if edges = [] then invalid_arg "Executor: cross product";
     let oslots, odatas = key_arrays outer.slots `Outer edges in
     let islots, idatas = key_arrays inner.slots `Inner edges in
-    (* Per-row keys land in a pooled buffer; the sorted side is a
+    (* Per-row keys land in a pooled full-width buffer (a truncated key
+       would merge more hash-equal runs); the sorted side is a
        permutation of the non-NULL row ids ordered by (key, row) —
        exactly the order the former boxed (key, row) pair sort produced,
        without building a list or allocating a tuple per row. *)
     let sort_side batch slots datas =
       let nrows = batch.nrows in
-      let keys = pool_acquire (max 1 nrows) in
+      let keys = keys_acquire (max 1 nrows) in
       let m = ref 0 in
       for i = 0 to nrows - 1 do
         let h = tuple_key batch slots datas i in
@@ -637,7 +652,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     (* Joined tuples are gathered straight into slot 0's staging
        segments, the materializing sink's store, as one morsel: into
        the current segment when the tuple fits there, otherwise through
-       [seg_runs], where [put] writes words [k, k + n) of the tuple
+       [seg_runs], where [put] writes slots [k, k + n) of the tuple
        joining outer row [!oi] and inner row [!ij]. *)
     let w0 = workers.(0) in
     w0.wlen <- 0;
@@ -645,15 +660,14 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
     let put seg at k n =
       let obase = !oi * outer.width and ibase = !ij * inner.width in
       for x = k to k + n - 1 do
-        seg.(at + x - k) <-
-          (if x < ow then outer.data.(obase + opos.(x))
-           else inner.data.(ibase + ipos.(x - ow)))
+        if x < ow then Rowbuf.copy outer.data (obase + opos.(x)) seg (at + x - k)
+        else Rowbuf.copy inner.data (ibase + ipos.(x - ow)) seg (at + x - k)
       done
     in
     let stage_tuple () =
       let off = w0.wlen in
-      let s = off / seg_words and at = off mod seg_words in
-      if at + width <= seg_words && s < Array.length w0.wsegs then begin
+      let s = off / seg_slots and at = off mod seg_slots in
+      if at + width <= seg_slots && s < Array.length w0.wsegs then begin
         gather w0.wsegs.(s) at outer !oi opos;
         gather w0.wsegs.(s) (at + ow) inner !ij ipos
       end
@@ -695,8 +709,8 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         j := !j_end
       end
     done;
-    pool_release okeys;
-    pool_release ikeys;
+    keys_release okeys;
+    keys_release ikeys;
     retire outer;
     retire inner;
     assemble out_rels [| 0 |] [| 0 |] [| w0.wlen |]
@@ -735,7 +749,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
 
   (* Run the pipeline computing [p] into the consumer [sink rels] makes
      for its output layout [rels]. Returns that layout and, per source
-     morsel, the slot, offset and length in words of what it staged. *)
+     morsel, the slot, offset and length in slots of what it staged. *)
   and pipeline (p : Plan.t) ~sink =
     let t0 = Obs.Trace.start () in
     let source, rev_stages, rels = plan_pipeline p in
@@ -759,7 +773,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
              factory (dictionary bitmaps compiled once), since an
              instance owns mutable decode scratch. *)
           let factory = Query.Predicate.selector_factory table relation.QG.preds in
-          let sel = Array.map (fun w -> batch_of [| rel |] w.wsel 0) workers in
+          let sel = Array.map (fun w -> batch_of [| rel |] w.wscan 0) workers in
           ( Storage.Table.row_count table,
             fun w lo hi ->
               let fill =
@@ -771,6 +785,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
                     f
               in
               let cnt = fill w.wsel lo hi in
+              Rowbuf.set_ints w.wscan w.wsel cnt;
               charge_work (hi - lo);
               ignore (Morsel.add src_rows cnt);
               first w sel.(w.wslot) 0 cnt )
@@ -785,7 +800,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
         feed w lo hi;
         List.iter (fun flush -> flush w) flushes;
         m_cnt.(m) <- w.wlen - m_off.(m));
-    List.iter (Array.iter (fun o -> pool_release o.ob.data)) buffers;
+    List.iter (Array.iter (fun o -> rows_release o.ob.data)) buffers;
     List.iter (fun st -> st.release ()) rev_stages;
     (match source with Batch_src b -> retire b | Scan_src _ -> ());
     (* Every node of the pipeline records its span, bottom-up, with its
@@ -924,7 +939,7 @@ let run ~db ~graph ~config ~size_est ?observe ?pool ?cache ?(projections = [])
           let read = readers.(k) and slot = pslots.(k) in
           let m = ref mins.(k) in
           for i = lo to hi - 1 do
-            let v = read b.data.((i * b.width) + slot) in
+            let v = read (row_id b.data ((i * b.width) + slot)) in
             if less v !m then m := v
           done;
           mins.(k) <- !m

@@ -74,17 +74,21 @@ val run :
     on any intermediate that outgrows it, stored or not. A materializing sink copies each
     morsel's tuples into its worker's fixed-size staging segments,
     appended and never regrown; after the phase the calling domain
-    stores them in one exact-size array (rows x live width words), in
-    source-morsel order, and each worker keeps at most one segment.
-    Merge-join output is staged the same way. A hash build adopts the
-    key hashes of its build phase as its table's hash column, so a
-    stored build side exists once as tuples and once as hashes. The
-    hash build sides of one pipeline are all live while it runs.
+    stores them in one exact-size buffer (rows x live width x 4
+    bytes), in source-morsel order, and each worker keeps at most one
+    segment. Merge-join output is staged the same way. A hash build
+    adopts the key hashes of its build phase as its table's hash
+    column, so a stored build side exists once as tuples and once as
+    hashes (8 bytes a row) plus chain links (4 bytes a row). The hash
+    build sides of one pipeline are all live while it runs.
 
     A tuple is a row of base-table row ids, one slot per relation that
     {!live_relations} keeps at its node: a scan's tuple is its own row
     id, and a join's is its outer input's kept slots followed by its
-    inner input's, each in its input's order. Slots no later operator
+    inner input's, each in its input's order. A slot is a
+    {!Rowbuf} entry, 4 bytes: stored batches, staging segments, stage
+    buffers and the scan's selected rows all hold row ids in 32 bits,
+    and storing one outside [\[0, 2{^31})] raises [Invalid_argument]. Slots no later operator
     reads are dropped where the join builds the tuple, so stored batches
     and stage buffers hold only live slots. Work is charged per row,
     never per slot, so the layout moves no work unit, checkpoint or

@@ -41,7 +41,7 @@ type key = {
 }
 
 type entry = {
-  e_rows : int array;  (* surviving row ids of the build-side scan *)
+  e_rows : Rowbuf.t;  (* surviving row ids of the build-side scan *)
   e_nrows : int;
   e_table : Join_table.t;  (* sealed; probe-only from here on *)
   e_scan_work : int;  (* replayed work: full-table scan charge *)
@@ -163,7 +163,7 @@ let entry_overhead_bytes = 160 (* record + key, order of magnitude *)
 
 let install t key ~rows ~nrows ~table ~scan_work ~build_work ~seal_work =
   let bytes =
-    Join_table.byte_size table + (8 * Array.length rows) + entry_overhead_bytes
+    Join_table.byte_size table + Rowbuf.byte_size rows + entry_overhead_bytes
   in
   let entry =
     {

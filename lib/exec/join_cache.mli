@@ -18,13 +18,15 @@ type t
 type key
 
 type entry = {
-  e_rows : int array;  (** surviving row ids of the build-side scan *)
+  e_rows : Rowbuf.t;  (** surviving row ids of the build-side scan, 4 bytes each *)
   e_nrows : int;
   e_table : Join_table.t;  (** sealed; probe-only from here on *)
   e_scan_work : int;  (** replayed on hit: the full-table scan charge *)
   e_build_work : int;  (** replayed on hit: 1 per build row *)
   e_seal_work : int;  (** replayed on hit: the seal's resize bill *)
   e_bytes : int;
+      (** charged against the budget: {!Join_table.byte_size} of the
+          table, 4 bytes per row id, and a fixed per-entry overhead *)
   e_tick : int Atomic.t;  (** LRU recency stamp *)
 }
 
@@ -62,7 +64,7 @@ val find : t -> key -> entry option
 val install :
   t ->
   key ->
-  rows:int array ->
+  rows:Rowbuf.t ->
   nrows:int ->
   table:Join_table.t ->
   scan_work:int ->

@@ -1,7 +1,7 @@
 type t = {
-  mutable buckets : int array; (* head index into entries, -1 = empty *)
+  mutable buckets : Rowbuf.t; (* head index into entries, -1 = empty *)
   mutable mask : int;
-  next : int array;
+  next : Rowbuf.t; (* written for linked entries only *)
   hashes : int array; (* entry i is build row i; negative = NULL key *)
   count : int; (* non-NULL entries *)
   resizable : bool;
@@ -44,24 +44,24 @@ let create ?(bucket_floor = 1024) ~estimated_rows ~resizable hashes =
      array instead of copying it. *)
   let n_buckets = planned_buckets ~bucket_floor ~estimated_rows () in
   {
-    buckets = Array.make n_buckets (-1);
+    buckets = Rowbuf.absent n_buckets;
     mask = n_buckets - 1;
-    next = Array.make (Array.length hashes) (-1);
+    next = Rowbuf.create (Array.length hashes);
     hashes;
     count = Array.fold_left (fun c h -> if h >= 0 then c + 1 else c) 0 hashes;
     resizable;
     initial_buckets = n_buckets;
   }
 
-let bucket_count t = Array.length t.buckets
+let bucket_count t = Rowbuf.length t.buckets
 
 let entry_count t = t.count
 
-(* Physical footprint of the table's arrays (words, at 8 bytes each),
-   for the recycling cache's byte budget. Counts every build row, not
-   [count]: a NULL-key row's slots are resident too. *)
+(* Physical footprint of the table's arrays (4-byte links and buckets,
+   8-byte hashes), for the recycling cache's byte budget. Counts every
+   build row, not [count]: a NULL-key row's slots are resident too. *)
 let byte_size t =
-  8 * (Array.length t.buckets + Array.length t.next + Array.length t.hashes)
+  Rowbuf.byte_size t.buckets + Rowbuf.byte_size t.next + (8 * Array.length t.hashes)
 
 (* Final load-factor telemetry across sealed tables, surfaced by
    [--gc-stats] and the Obs.Metrics registry (which owns the cells). *)
@@ -118,8 +118,8 @@ let seal t =
     done;
     (* One allocation straight to the final size instead of a chain of
        doublings-plus-relinks. *)
-    if !b <> Array.length t.buckets then begin
-      t.buckets <- Array.make !b (-1);
+    if !b <> Rowbuf.length t.buckets then begin
+      t.buckets <- Rowbuf.absent !b;
       t.mask <- !b - 1
     end
   end;
@@ -127,21 +127,22 @@ let seal t =
     let h = t.hashes.(i) in
     if h >= 0 then begin
       let b = h land t.mask in
-      t.next.(i) <- t.buckets.(b);
-      t.buckets.(b) <- i
+      Rowbuf.copy t.buckets b t.next i;
+      Rowbuf.set t.buckets b i
     end
   done;
   Obs.Metrics.Counter.incr lf_tables;
   Obs.Metrics.Counter.add lf_entries t.count;
-  Obs.Metrics.Counter.add lf_buckets (Array.length t.buckets);
+  Obs.Metrics.Counter.add lf_buckets (Rowbuf.length t.buckets);
   Obs.Metrics.Gauge.set_max lf_max_permille
-    (float_of_int (1000 * t.count / Array.length t.buckets));
+    (float_of_int (1000 * t.count / Rowbuf.length t.buckets));
   !work
 
 (* Probe cursor: callers walk a chain inline, so a probe allocates
    nothing per row. *)
-let head t ~hash = t.buckets.(hash land t.mask)
-let next t e = t.next.(e)
+let[@inline] link b i = Int32.to_int (Rowbuf.get32 b (4 * i))
+let head t ~hash = link t.buckets (hash land t.mask)
+let next t e = link t.next e
 let entry_hash t e = t.hashes.(e)
 
 (* Chain entries are hash comparisons on consecutive memory — charge a

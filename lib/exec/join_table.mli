@@ -35,7 +35,8 @@ val entry_count : t -> int
 val byte_size : t -> int
 (** Physical bytes of the table's bucket, chain and hash arrays (every
     build row, NULL keys included) — what a recycled table keeps
-    resident. *)
+    resident: 4 bytes per bucket and per chain link (entry indexes are
+    {!Rowbuf} slots), 8 per key hash. *)
 
 val seal : t -> int
 (** Link every non-NULL entry's chain and settle the resize bill. A
@@ -81,7 +82,8 @@ val head : t -> hash:int -> int
 (** First entry of the hash's bucket chain, or [-1] if it is empty. *)
 
 val next : t -> int -> int
-(** The entry after this one in its chain, or [-1] at the chain's end. *)
+(** The entry after this one in its chain, or [-1] at the chain's end.
+    Defined only for an entry on a chain: a NULL-key row has no link. *)
 
 val entry_hash : t -> int -> int
 (** The key hash of an entry's build row. *)

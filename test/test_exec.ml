@@ -903,6 +903,53 @@ let test_pool_keeps_gc_settings () =
   List.iter (Alcotest.check pair "worker settings" before) seen;
   Alcotest.check pair "caller settings" before (settings ())
 
+(* Row ids are stored in 32 bits: a write outside [0, 2^31) raises
+   instead of wrapping to another row, and an index outside the buffer
+   raises like an array access. *)
+let test_rowbuf_range_guard () =
+  let module R = Exec.Rowbuf in
+  let b = R.create 3 in
+  List.iter
+    (fun v ->
+      R.set b 1 v;
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" v) v (R.get b 1))
+    [ 0; (1 lsl 31) - 1 ];
+  let outside = Invalid_argument "Rowbuf.set: row id outside [0, 2^31)" in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises (Printf.sprintf "%d rejected" v) outside (fun () ->
+          R.set b 1 v);
+      Alcotest.(check int) "slot unchanged" ((1 lsl 31) - 1) (R.get b 1))
+    [ 1 lsl 31; -1 ];
+  let bounds = Invalid_argument "index out of bounds" in
+  Alcotest.check_raises "write past the end" bounds (fun () -> R.set b 3 0);
+  Alcotest.check_raises "read past the end" bounds (fun () -> ignore (R.get b 3));
+  let empty = R.absent 2 in
+  Alcotest.(check int) "absent reads -1" (-1) (R.get empty 0);
+  R.copy empty 0 b 2;
+  Alcotest.(check int) "copy carries -1" (-1) (R.get b 2);
+  Alcotest.(check int) "4 bytes a slot" 12 (R.byte_size b)
+
+(* The paper's underestimated build side: PostgreSQL estimates 25c's
+   build input at one row and 376,314 rows get stored, tuples and key
+   hashes and chain links. Run serially under its PostgreSQL plan at
+   scale 0.005, Executor.run allocates 2.45 M major-heap words with
+   4-byte row ids; with 8-byte ints it allocated 4.46 M. *)
+let test_build_side_major_words () =
+  let s = Core.Session.create ~seed:42 ~scale:0.005 () in
+  let q = Core.Session.job s "25c" in
+  let choice = Core.Session.optimize s ~estimator:"PostgreSQL" q in
+  ignore (Core.Session.run s q choice);
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  let r = Core.Session.run s q choice in
+  let words = (Gc.quick_stat ()).Gc.major_words -. w0 in
+  Alcotest.(check bool) "finished" false r.Exec.Executor.timed_out;
+  Alcotest.(check int) "rows" 74_242 r.Exec.Executor.rows;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words (< 3,000,000)" words)
+    true (words < 3_000_000.)
+
 let test_engine_configs () =
   Alcotest.(check bool) "default allows NL" true
     Exec.Engine_config.default_9_4.Exec.Engine_config.allow_nl_join;
@@ -946,5 +993,9 @@ let suite =
       test_kernels_allocation_free;
     Alcotest.test_case "pool keeps the GC settings" `Quick
       test_pool_keeps_gc_settings;
+    Alcotest.test_case "row ids outside [0, 2^31) rejected" `Quick
+      test_rowbuf_range_guard;
+    Alcotest.test_case "25c build side in major words" `Quick
+      test_build_side_major_words;
     Alcotest.test_case "engine configs" `Quick test_engine_configs;
   ]
